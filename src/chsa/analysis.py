@@ -1,7 +1,7 @@
 """Validation oracles and projections.
 
 These stay independent of the stratification path so they can serve as
-ground truth in tests: an exact planar hull, a reconstruction-QP vertex
+ground truth in tests: an exact planar hull, a simplex-method LP vertex
 oracle for any dimension, the cube boundary distance, and a 2-D PCA
 projection for plotting high-dimensional runs.
 """
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfCube, WrongDimension
-from .ipm import SolverConfig, solve
 from .pointcloud import PointCloud
-from .qp import ChsaParams, QpProblem, assemble_raw
 
 
 @dataclass(frozen=True)
@@ -54,30 +52,32 @@ def hull_2d(cloud: PointCloud) -> HullResult:
     return HullResult(vertex_indices=frozenset(hull), method="graham-2d")
 
 
-_ORACLE_PARAMS = ChsaParams(gamma=1e-10, lam=0.0)  # tiny gamma regularizes only
-_ORACLE_CONFIG = SolverConfig(max_iters=200)
+def lp_vertex_oracle(cloud: PointCloud, i: int, tol: float = 1e-9) -> bool:
+    """True iff x_i is not a convex combination of the other points.
 
-
-def lp_vertex_oracle(cloud: PointCloud, i: int,
-                     residual_tol: float = 1e-6) -> bool:
-    """True iff no convex combination of the other points reconstructs x_i.
-
-    Minimizes the reconstruction error over the simplex (w >= 0 directly,
-    so only the positive block of the split assembly is kept) with the
-    interior-point solver; residual above the tolerance means x_i is a
-    hull vertex.
+    Phase one of the simplex method (dense tableau, Bland's rule, so no
+    cycling) on the feasibility LP  sum_j w_j (x_j - x_i) = 0, sum(w) = 1,
+    w >= 0  over j != i: x_i is a vertex iff it is infeasible.
     """
-    x = cloud.points[i]
-    others = np.delete(np.arange(cloud.size), i)
-    G = cloud.points[others].T
-    split = assemble_raw(x, G, _ORACLE_PARAMS)
-    K = split.K
-    problem = QpProblem(Q=split.Q[:K, :K], c=split.c[:K],
-                        A=np.ones((1, K)), b=1.0, K=K,
-                        constant_term=split.constant_term)
-    sol = solve(problem, _ORACLE_CONFIG)
-    residual = float(np.linalg.norm(x - G @ sol.u))
-    return residual > residual_tol
+    others = np.delete(cloud.points, i, axis=0) - cloud.points[i]
+    m, rows = others.shape[0], cloud.dim + 1
+    eye = np.eye(rows)  # artificial columns; the right-hand side is eye[-1]
+    tab = np.hstack([np.vstack([others.T, np.ones(m)]), eye, eye[:, -1:]])
+    cost = np.concatenate([np.zeros(m), np.ones(rows)])
+    basis = np.arange(m, m + rows)
+    while True:
+        reduced = cost - cost[basis] @ tab[:, :-1]
+        entering = np.flatnonzero(reduced < -tol)
+        if entering.size == 0:
+            return float(cost[basis] @ tab[:, -1]) > tol
+        col = tab[:, entering[0]]
+        ratio = np.full(rows, np.inf)
+        np.divide(tab[:, -1], col, out=ratio, where=col > tol)
+        best = np.flatnonzero(ratio == ratio.min())
+        r = best[np.argmin(basis[best])]
+        tab[r] /= col[r]
+        tab -= np.outer(col, tab[r]) * (np.arange(rows) != r)[:, None]
+        basis[r] = entering[0]
 
 
 def cube_boundary_distance(point: np.ndarray) -> float:

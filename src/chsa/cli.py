@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import analysis, datagen, pointcloud, stratify, svgplot
 from .errors import ChsaError
@@ -74,18 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str):
+    """Bad input: one line on stderr, then exit with EXIT_BAD_SPEC."""
+    print(message, file=sys.stderr)
+    sys.exit(EXIT_BAD_SPEC)
+
+
 def _load_cloud(args) -> pointcloud.PointCloud:
     if (args.input is None) == (args.genspec is None):
-        print("exactly one of --input / --generate is required",
-              file=sys.stderr)
-        sys.exit(EXIT_BAD_SPEC)
+        _fail("exactly one of --input / --generate is required")
     if args.genspec is not None:
         try:
             spec = datagen.GenSpec.from_json(args.genspec)
             return datagen.gen(spec)
         except (OSError, ValueError, TypeError, ChsaError) as exc:
-            print(f"bad generator spec: {exc}", file=sys.stderr)
-            sys.exit(EXIT_BAD_SPEC)
+            _fail(f"bad generator spec: {exc}")
     try:
         return pointcloud.read_csv(args.input)
     except (OSError, ValueError) as exc:
@@ -107,8 +109,14 @@ def _preprocess(cloud, args):
     return cloud
 
 
-def _effective_k(cloud, args) -> int:
-    return cloud.size - 1 if args.k is None else args.k
+def _sweep_lambdas(text: str) -> list:
+    try:
+        lams = [float(v) for v in text.split(",")]
+    except ValueError:
+        lams = []
+    if not lams or not all(math.isfinite(v) and v >= 0 for v in lams):
+        _fail(f"--sweep-lambda needs comma-separated numbers >= 0, got {text!r}")
+    return lams
 
 
 def _dump_config(args, outdir: str) -> None:
@@ -130,58 +138,63 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_one(cloud, k, params, solver, args, outdir, tag=""):
-    report = stratify.run_chsa(
-        cloud, k, params, solver, workers=args.threads,
-        allow_unscaled=(args.scale == "none"), seed=args.seed)
-    stratify.write_report_json(report, os.path.join(outdir, f"report{tag}.json"))
-    stratify.write_report_csv(report, os.path.join(outdir, f"report{tag}.csv"))
-    if not args.no_plot:
-        coords = (cloud.points if cloud.dim == 2
-                  else analysis.pca_2d(cloud))
-        svgplot.write_scatter(os.path.join(outdir, f"figure{tag}.svg"),
-                              coords, report, color_by=args.color_by)
-    return report
-
-
-def cmd_stratify(args) -> int:
+def _prepare(args):
+    """Check and load the input; return (cloud, k, solver, run options)."""
+    if args.threads < 1:
+        _fail(f"--threads must be at least 1, got {args.threads}")
     cloud = _preprocess(_load_cloud(args), args)
-    k = _effective_k(cloud, args)
+    k = cloud.size - 1 if args.k is None else args.k
+    if not 1 <= k <= cloud.size - 1:
+        _fail(f"--k must lie in [1, p-1] = [1, {cloud.size - 1}], got {k}")
     os.makedirs(args.output_dir, exist_ok=True)
     _dump_config(args, args.output_dir)
     solver = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas)
+    return cloud, k, solver, dict(workers=args.threads, seed=args.seed,
+                                  allow_unscaled=(args.scale == "none"))
 
-    if args.sweep_lambda:
-        lams = [float(v) for v in args.sweep_lambda.split(",")]
-        counts = []
-        for lam in lams:
-            tag = f"_lambda{lam:g}"
-            report = _run_one(cloud, k, ChsaParams(gamma=args.gamma, lam=lam),
-                              solver, args, args.output_dir, tag)
-            counts.append((lam, len(report.flagged_indices)))
-        with open(os.path.join(args.output_dir, "sweep_counts.csv"), "w") as f:
-            f.write("lambda,flagged_count\n")
-            for lam, count in counts:
-                f.write(f"{lam:g},{count}\n")
-        for lam, count in counts:
-            print(f"lambda={lam:g}: {count} flagged")
+
+def cmd_stratify(args) -> int:
+    lams = _sweep_lambdas(args.sweep_lambda) if args.sweep_lambda else None
+    cloud, k, solver, run_args = _prepare(args)
+    if lams is not None:
+        results = stratify.negativity_sweep(
+            cloud, k, [ChsaParams(gamma=args.gamma, lam=lam) for lam in lams],
+            solver, **run_args)
+        outputs = [(f"_lambda{lam:g}", res[3]) for lam, res in zip(lams, results)]
     else:
-        report = _run_one(cloud, k, ChsaParams(gamma=args.gamma, lam=args.lam),
-                          solver, args, args.output_dir)
+        report = stratify.run_chsa(
+            cloud, k, ChsaParams(gamma=args.gamma, lam=args.lam), solver,
+            **run_args)
+        outputs = [("", report)]
+
+    coords = None if args.no_plot else (
+        cloud.points if cloud.dim == 2 else analysis.pca_2d(cloud))
+    outdir = args.output_dir
+    for tag, report in outputs:
+        stratify.write_report_json(report,
+                                   os.path.join(outdir, f"report{tag}.json"))
+        stratify.write_report_csv(report,
+                                  os.path.join(outdir, f"report{tag}.csv"))
+        if coords is not None:
+            svgplot.write_scatter(os.path.join(outdir, f"figure{tag}.svg"),
+                                  coords, report, color_by=args.color_by)
+
+    if lams is None:
         print(f"{len(report.flagged_indices)} of {cloud.size} points flagged")
+        return 0
+    with open(os.path.join(outdir, "sweep_counts.csv"), "w") as f:
+        f.write("lambda,flagged_count\n")
+        f.writelines(f"{lam:g},{res[1]}\n" for lam, res in zip(lams, results))
+    for lam, res in zip(lams, results):
+        print(f"lambda={lam:g}: {res[1]} flagged")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cloud = _preprocess(_load_cloud(args), args)
-    k = _effective_k(cloud, args)
-    os.makedirs(args.output_dir, exist_ok=True)
-    _dump_config(args, args.output_dir)
-    solver = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas)
+    cloud, k, solver, run_args = _prepare(args)
     report = stratify.run_chsa(
         cloud, k, ChsaParams(gamma=args.gamma, lam=args.lam), solver,
-        workers=args.threads, allow_unscaled=(args.scale == "none"),
-        seed=args.seed)
+        **run_args)
     flagged = set(report.flagged_indices)
 
     if args.oracle == "2d":

@@ -1,26 +1,28 @@
-"""Primal-dual interior-point solver for the standard-form convex QP
+"""Batched primal-dual interior-point solver for the split-variable QP
 
-    minimize 1/2 u^T Q u + c^T u   s.t.  A u = b,  u >= 0.
+    minimize 1/2 u^T Q u + c^T u   s.t.  a^T u = 1,  u >= 0,
 
-Infeasible-start long-step path following with a fixed centering
-parameter.  Each Newton step solves the full unreduced KKT system
+with u = (w+, w-), Q = [[M, -M], [-M, M]], M = 2 (G^T G + gamma I) and
+a = (1, -1) (see `qp`); Q is never formed.  Infeasible-start long-step
+path following with a fixed centering parameter.
 
-    [ Q   A^T  -I ] [du]     [ Q u + c + A^T y - z ]
-    [ A   0    0  ] [dy] = - [ A u - b             ]
-    [ Z   0    U  ] [dz]     [ U Z e - sigma mu e  ]
+Newton step: with Sigma = diag(z/u), each pair (w+_j, w-_j) contributes a
+2 x 2 block of Sigma + 2 gamma B B^T (B = [I; -I]); eliminating the blocks
+in closed form leaves a K-vector system in dw = dw+ - dw-,
 
-of size (2n + m).  Two equivalent backends compute the step:
+    S dw + 1 dy = rho,   1^T dw = r2,   S = diag(1/d) + 2 G^T G,
+    1/d_j = s+_j s-_j / (s+_j + s-_j) + 2 gamma,   s = z/u,
 
-  * "dense"    — factor the (4K+1) x (4K+1) matrix directly;
-  * "woodbury" — exploit Q = B M B^T with B = [I; -I] and the constant
-                 K x K block M = 2 (G^T G + gamma I): eliminate dz, apply
-                 the Woodbury identity to (Q + U^{-1} Z), and solve one
-                 K x K Cholesky per iteration.  Same step up to rounding,
-                 O(K^2) instead of O(K^3) per iteration.
+and Woodbury turns S^{-1} into one D x D SPD solve with I + 2 G diag(d)
+G^T, O(K D^2) per step and exact for every D and K.  One step of
+iterative refinement against S restores the digits Woodbury cancels on
+weights with large d.
 
-The default "auto" picks "woodbury" when the problem carries its block
-structure and gamma is large enough to keep M comfortably invertible.
-Everything is deterministic: no randomized pivoting, fixed start.
+A batch of problems advances together in (B, 2K) arrays; each problem
+stops on its own tests and leaves the working set.  All arithmetic is
+per problem (elementwise, row sums, einsum, one small gemm and LAPACK
+solve each), so iterates do not depend on the batch; the D x K by K x D
+gemm is far too small for OpenBLAS to thread, so nor on its thread count.
 
 With ``polish=True`` a converged run is refined by an active-set
 crossover (see _polish) that lands on an exact KKT point; useful when
@@ -30,15 +32,12 @@ of the order of the duality gap.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import KktSingular
-from .qp import QpProblem
+from .qp import QpProblem, dense_q, gmul, gtmul, linear_term
 
 _REG = 1e-12  # static diagonal regularization floor
 
@@ -50,7 +49,6 @@ class SolverConfig:
     max_iters: int = 100
     step_fraction: float = 0.99
     centering_sigma: float = 0.1
-    newton_backend: str = "auto"  # auto | dense | woodbury
     start_scale: float = 1.0      # multiplier on the default interior start
     polish: bool = False          # active-set refinement after convergence
 
@@ -63,127 +61,82 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.newton_backend not in ("auto", "dense", "woodbury"):
-            raise ValueError(f"unknown newton_backend {self.newton_backend!r}")
 
 
 @dataclass
 class SolverSolution:
+    """One problem's result; from `solve_batch`, one row per problem."""
+
     u: np.ndarray
     y: float
     z: np.ndarray
     iterations: int
     converged: bool
     final_gap: float
-    final_residuals: tuple
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray, frac: float) -> float:
-    """Longest alpha <= 1 keeping v + alpha dv >= (1 - frac) v."""
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, frac * np.min(-v[neg] / dv[neg])))
+def _max_step(v: np.ndarray, dv: np.ndarray, frac: float) -> np.ndarray:
+    """Per row, the longest alpha <= 1 keeping v + alpha dv >= (1 - frac) v."""
+    ratio = np.divide(-v, dv, out=np.full(v.shape, np.inf), where=dv < 0)
+    return np.minimum(1.0, frac * np.min(ratio, axis=1))
 
 
-class _DenseStep:
-    def __init__(self, problem: QpProblem):
-        n = problem.c.shape[0]
-        self.n = n
-        kkt = np.zeros((2 * n + 1, 2 * n + 1))
-        kkt[:n, :n] = problem.Q
-        kkt[:n, n] = problem.A[0]
-        kkt[:n, n + 1:] = -np.eye(n)
-        kkt[n, :n] = problem.A[0]
-        kkt[np.arange(2 * n + 1), np.arange(2 * n + 1)] += _REG
-        self.kkt = kkt
-        self.rows = np.arange(n + 1, 2 * n + 1)
+def _residuals(G, gamma, c, u, y, z):
+    """Dual residual Q u + c + a y - z, primal residual a^T u - 1, gap."""
+    K = G.shape[2]
+    w = u[:, :K] - u[:, K:]
+    mwy = 2.0 * (gtmul(G, gmul(G, w)) + gamma[:, None] * w) + y[:, None]
+    r_dual = c - z + np.concatenate([mwy, -mwy], axis=1)
+    return r_dual, np.sum(w, axis=1) - 1.0, np.sum(u * z, axis=1)
 
-    def __call__(self, u, z, r1, r2, r3, it):
-        n = self.n
-        self.kkt[self.rows, :n] = np.diag(z)
-        self.kkt[self.rows, self.rows] = u + _REG
-        rhs = np.concatenate([r1, [r2], r3])
+
+def _newton(G, gamma, u, z, r_dual, r_pri, r3, it):
+    """Solve the Newton system for every row (see the module docstring)."""
+    K = G.shape[2]
+    sp, sm = z[:, :K] / u[:, :K] + _REG, z[:, K:] / u[:, K:] + _REG
+    ssum = sp + sm
+    dinv = sp * sm / ssum + 2.0 * gamma[:, None]
+    d = 1.0 / dinv
+    rbar = r3 / u - r_dual
+    vp, vm = rbar[:, :K], rbar[:, K:]
+    rho = (sm * vp - sp * vm) / ssum
+    # capacitance matrix I + 2 G diag(d) G^T, one gemm per problem
+    cap = 2.0 * ((G * d[:, None, :]) @ G.transpose(0, 2, 1))
+    cap += np.eye(G.shape[1])
+
+    def s_inv(v):
+        """S^{-1} v for S = diag(dinv) + 2 G^T G and v of shape (B, K, m)."""
+        dv = d[:, :, None] * v
         try:
-            lu, piv = scipy.linalg.lu_factor(self.kkt.copy(), check_finite=False)
-            step = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise KktSingular(f"KKT system singular at iteration {it}") from exc
-        if not np.all(np.isfinite(step)):
-            raise KktSingular(f"non-finite KKT step at iteration {it}")
-        return step[:n], float(step[n]), step[n + 1:]
+            f = np.linalg.solve(cap, np.einsum("bdk,bkm->bdm", G, dv))
+        except np.linalg.LinAlgError as exc:
+            raise KktSingular(
+                f"reduced system singular at iteration {it}") from exc
+        return dv - 2.0 * d[:, :, None] * np.einsum("bdk,bdm->bkm", G, f)
+
+    x = s_inv(np.stack([rho, np.ones_like(rho)], axis=2))
+    xr, x1 = x[:, :, 0], x[:, :, 1]
+    den = np.sum(x1, axis=1)              # 1^T S^{-1} 1
+    if not np.all(np.isfinite(den) & (den > 0)):
+        raise KktSingular(f"degenerate Schur complement at iteration {it}")
+    dy = (np.sum(xr, axis=1) + r_pri) / den
+    dw = xr - x1 * dy[:, None]
+    # one step of iterative refinement against S applied exactly: the
+    # Woodbury solve alone cancels digits on weights whose d is large
+    res = rho - dinv * dw - 2.0 * gtmul(G, gmul(G, dw)) - dy[:, None]
+    cw = s_inv(res[:, :, None])[:, :, 0]
+    cy = (np.sum(cw, axis=1) + r_pri + np.sum(dw, axis=1)) / den
+    dw, dy = dw + cw - x1 * cy[:, None], dy + cy
+    sig = vp + vm
+    du = np.concatenate([(sig + sm * dw) / ssum, (sig - sp * dw) / ssum],
+                        axis=1)
+    dz = (r3 - z * du) / u
+    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dz))):
+        raise KktSingular(f"non-finite KKT step at iteration {it}")
+    return du, dy, dz
 
 
-class _WoodburyStep:
-    """Reduced Newton step via block elimination + Woodbury identity.
-
-    With H = Sigma + B M B^T, Sigma = diag(z/u), the inverse-free form
-
-        H^{-1} v = S^{-1} v - S^{-1} B [(I + M D)^{-1} M] B^T S^{-1} v,
-        D = B^T Sigma^{-1} B  (diagonal),
-
-    avoids inverting M, so gamma ~ 0 (singular M) stays well defined:
-    M D is similar to a PSD matrix, hence I + M D is nonsingular.
-    """
-
-    def __init__(self, problem: QpProblem):
-        K = problem.K
-        self.K = K
-        self.a = problem.A[0]
-        self.M = problem.Q[:K, :K]
-
-    def _apply_hinv(self, lu_piv, sigma, v):
-        K = self.K
-        t = v / sigma
-        g = self.M @ (t[:K] - t[K:])
-        h = scipy.linalg.lu_solve(lu_piv, g, check_finite=False)
-        corr = np.concatenate([h, -h]) / sigma
-        return t - corr
-
-    def __call__(self, u, z, r1, r2, r3, it):
-        K = self.K
-        sigma = z / u + _REG
-        d = 1.0 / sigma[:K] + 1.0 / sigma[K:]
-        inner = np.eye(K) + self.M * d[None, :]
-        try:
-            lu_piv = scipy.linalg.lu_factor(inner, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise KktSingular(f"reduced system singular at iteration {it}") from exc
-        rbar = r1 + r3 / u
-        hr = self._apply_hinv(lu_piv, sigma, rbar)
-        ha = self._apply_hinv(lu_piv, sigma, self.a)
-        denom = float(self.a @ ha)
-        if denom <= 0 or not np.isfinite(denom):
-            raise KktSingular(f"degenerate Schur complement at iteration {it}")
-        dy = float((self.a @ hr - r2) / denom)
-        du = hr - ha * dy
-        dz = (r3 - z * du) / u
-        if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dz))):
-            raise KktSingular(f"non-finite KKT step at iteration {it}")
-        return du, dy, dz
-
-
-def _make_stepper(problem: QpProblem, config: SolverConfig):
-    backend = config.newton_backend
-    if backend == "auto":
-        backend = "woodbury" if _has_split_structure(problem) else "dense"
-    if backend == "woodbury":
-        return _WoodburyStep(problem)
-    return _DenseStep(problem)
-
-
-def _has_split_structure(problem: QpProblem) -> bool:
-    """True if Q = [[M,-M],[-M,M]] with symmetric PSD-shaped M."""
-    K = problem.K
-    if problem.Q.shape != (2 * K, 2 * K):
-        return False
-    M = problem.Q[:K, :K]
-    return bool(np.array_equal(problem.Q[K:, K:], M)
-                and np.array_equal(problem.Q[:K, K:], -M)
-                and np.array_equal(M, M.T))
-
-
-def _polish(problem: QpProblem, u, y, z):
+def _polish(G, gamma, c, u, y, z):
     """Active-set refinement after interior-point convergence.
 
     Starting from the active set the barrier suggests (z dominates u),
@@ -195,20 +148,21 @@ def _polish(problem: QpProblem, u, y, z):
     barrier leaves slightly off their bounds, e.g. weakly active ones or
     directions of tiny curvature.
     """
-    a = problem.A[0]
     n = u.shape[0]
+    a = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
+    Q = dense_q(G, gamma)
     free = u > z
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(problem.c))))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(c))))
     for _ in range(4 * n):
         idx = np.flatnonzero(free)
         m = idx.shape[0]
         if m == 0:
             return u, y, z
         kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = problem.Q[np.ix_(idx, idx)]
+        kkt[:m, :m] = Q[np.ix_(idx, idx)]
         kkt[:m, m] = a[idx]
         kkt[m, :m] = a[idx]
-        rhs = np.concatenate([-problem.c[idx], [problem.b]])
+        rhs = np.concatenate([-c[idx], [1.0]])
         sol, _, _, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
         u_new = np.zeros(n)
         u_new[idx] = sol[:m]
@@ -216,96 +170,87 @@ def _polish(problem: QpProblem, u, y, z):
         if float(u_new[idx].min()) < -tol:
             free[idx[int(np.argmin(u_new[idx]))]] = False
             continue
-        z_new = problem.Q @ u_new + problem.c + a * y_new
+        z_new = Q @ u_new + c + a * y_new
         z_act = np.where(free, np.inf, z_new)
         if float(z_act.min()) < -tol:
             free[int(np.argmin(z_act))] = True
             continue
         if (float(np.max(np.abs(z_new[idx]))) > tol
-                or abs(float(a @ u_new - problem.b)) > tol):
+                or abs(float(a @ u_new - 1.0)) > tol):
             break
         return np.maximum(u_new, 0.0), y_new, np.maximum(z_new, 0.0)
     return u, y, z
 
 
-def solve(problem: QpProblem, config: SolverConfig = SolverConfig(),
-          trace_path: Optional[str] = None) -> SolverSolution:
-    """Solve the QP; non-convergence is reported via the flag, not raised."""
-    Q, c, b = problem.Q, problem.c, problem.b
-    A = problem.A[0]
-    n = c.shape[0]
+def solve_batch(x: np.ndarray, G: np.ndarray, gamma, lam,
+                config: SolverConfig = SolverConfig()) -> SolverSolution:
+    """Solve B split-variable QPs together; x is (B, D), G is (B, D, K).
 
-    # Normalize small-magnitude objectives so the gap tolerance is
-    # effectively relative; u is unchanged, duals are rescaled back below.
-    # Only scaling up (norm < 1) keeps the absolute convergence guarantees.
-    norm = max(float(np.max(np.abs(Q))), float(np.max(np.abs(c))))
-    if 0.0 < norm < 1.0:
-        inner = QpProblem(Q=Q / norm, c=c / norm, A=problem.A, b=b,
-                          K=problem.K, constant_term=0.0)
-        sol = solve(inner, config, trace_path)
-        return replace(sol, y=sol.y * norm, z=sol.z * norm,
-                       final_gap=sol.final_gap * norm,
-                       final_residuals=(sol.final_residuals[0],
-                                        sol.final_residuals[1] * norm))
+    gamma and lam are scalars or length-B arrays.  Returns one row per
+    problem; non-convergence is reported through `converged`, not raised.
+    """
+    x, G = np.asarray(x, dtype=float), np.asarray(G, dtype=float)
+    nb, _, K = G.shape
+    n = 2 * K
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (nb,))
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (nb,))
 
-    cinf = float(np.max(np.abs(c)))
-    scale = max(1.0, cinf)
-    u = np.full(n, scale / n * config.start_scale)
-    z = np.full(n, scale / n * config.start_scale)
-    y = 0.0
+    # Normalize small-magnitude objectives so the gap tolerance is relative;
+    # only scaling up (norm < 1) keeps the absolute guarantees.  (Q, c)/norm
+    # is the problem of (x, G, gamma, lambda) / (root, root, norm, norm); u
+    # is unchanged, duals are scaled back below.  max |Q_ij| = max_j Q_jj.
+    qmax = 2.0 * (np.max(np.sum(G * G, axis=1), axis=1) + gamma)
+    norm = np.maximum(qmax, np.max(np.abs(linear_term(x, G, lam)), axis=1))
+    norm = np.where((norm > 0.0) & (norm < 1.0), norm, 1.0)
+    root = np.sqrt(norm)
+    G, gamma = G / root[:, None, None], gamma / norm
+    c = linear_term(x / root[:, None], G, lam / norm)
+    cinf = np.max(np.abs(c), axis=1)
+    start = np.repeat(np.maximum(1.0, cinf)[:, None] / n * config.start_scale,
+                      n, axis=1)
 
-    stepper = _make_stepper(problem, config)
-    trace = [] if trace_path is not None else None
-    converged = False
-    r_dual = Q @ u + c + A * y - z
-    r_pri = float(A @ u - b)
-    gap = float(u @ z)
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        dual_norm = float(np.max(np.abs(r_dual)))
-        if (abs(r_pri) <= config.tol_feas * (1 + abs(b))
-                and dual_norm <= config.tol_feas * (1 + cinf)
-                and gap <= config.tol_gap * n):
-            converged = True
-            it -= 1
-            break
-        if trace is not None:
-            trace.append((it, gap, r_pri, dual_norm))
+    out = SolverSolution(u=np.empty((nb, n)), y=np.empty(nb),
+                         z=np.empty((nb, n)), iterations=np.zeros(nb, int),
+                         converged=np.zeros(nb, bool), final_gap=np.empty(nb))
+    # the working set: unfinished problems only, one row each
+    rows, u, y, z = np.arange(nb), start, np.zeros(nb), start.copy()
+    dual_tol = config.tol_feas * (1.0 + cinf)
+    for it in range(config.max_iters + 1):
+        r_dual, r_pri, gap = _residuals(G, gamma, c, u, y, z)
+        ok = ((np.abs(r_pri) <= 2.0 * config.tol_feas)
+              & (np.max(np.abs(r_dual), axis=1) <= dual_tol[rows])
+              & (gap <= config.tol_gap * n))
+        stop = ok | (it == config.max_iters)
+        if np.any(stop):
+            if config.polish:
+                for i in np.flatnonzero(ok):
+                    u[i], y[i], z[i] = _polish(G[i], gamma[i], c[i],
+                                               u[i], y[i], z[i])
+                r_dual, r_pri, gap = _residuals(G, gamma, c, u, y, z)
+            done, s = rows[stop], norm[rows[stop]]
+            out.u[done], out.y[done] = u[stop], y[stop] * s
+            out.z[done] = z[stop] * s[:, None]
+            out.iterations[done], out.converged[done] = it, ok[stop]
+            out.final_gap[done] = gap[stop] * s
+            keep = ~stop
+            rows, G, gamma, c, u, y, z, r_dual, r_pri, gap = (
+                v[keep] for v in (rows, G, gamma, c, u, y, z, r_dual, r_pri, gap))
+            if rows.size == 0:
+                break
 
-        mu = gap / n
-        r3 = -(u * z - config.centering_sigma * mu)
-        du, dy, dz = stepper(u, z, -r_dual, -r_pri, r3, it)
-
+        r3 = config.centering_sigma * (gap / n)[:, None] - u * z
+        du, dy, dz = _newton(G, gamma, u, z, r_dual, r_pri, r3, it + 1)
         alpha_p = _max_step(u, du, config.step_fraction)
         alpha_d = _max_step(z, dz, config.step_fraction)
-        u = u + alpha_p * du
+        u = u + alpha_p[:, None] * du
         y = y + alpha_d * dy
-        z = z + alpha_d * dz
+        z = z + alpha_d[:, None] * dz
+    return out
 
-        r_dual = Q @ u + c + A * y - z
-        r_pri = float(A @ u - b)
-        gap = float(u @ z)
-    if not converged:
-        # iteration budget exhausted; the final iterate may still qualify
-        converged = (abs(r_pri) <= config.tol_feas * (1 + abs(b))
-                     and float(np.max(np.abs(r_dual))) <= config.tol_feas * (1 + cinf)
-                     and gap <= config.tol_gap * n)
 
-    if config.polish and converged:
-        u, y, z = _polish(problem, u, y, z)
-        r_dual = Q @ u + c + A * y - z
-        r_pri = float(A @ u - b)
-        gap = float(u @ z)
-
-    if trace is not None:
-        with open(trace_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iteration", "gap", "primal_residual", "dual_residual"])
-            for row in trace:
-                writer.writerow([row[0]] + [repr(v) for v in row[1:]])
-
-    return SolverSolution(
-        u=u, y=float(y), z=z, iterations=it, converged=converged,
-        final_gap=gap,
-        final_residuals=(abs(r_pri), float(np.max(np.abs(r_dual)))),
-    )
+def solve(problem: QpProblem,
+          config: SolverConfig = SolverConfig()) -> SolverSolution:
+    """Solve one QP as a batch of one; non-convergence is flagged, not raised."""
+    sol = solve_batch(problem.x[None], problem.G[None], problem.gamma,
+                      problem.lam, config)
+    return SolverSolution(**{name: value[0] for name, value in vars(sol).items()})

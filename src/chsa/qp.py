@@ -1,4 +1,4 @@
-"""Assemble the per-point standard-form QP in split variables.
+"""The per-point standard-form QP in split variables.
 
 For a point x with neighbor matrix G (D x K) the objective
 
@@ -14,13 +14,14 @@ over u = (w+, w-) in R^{2K}, with
     c = [lambda*1 - 2 G^T x ; lambda*1 + 2 G^T x]
     A = [1 ... 1, -1 ... -1]
 
-The dropped constant ||x||^2 is kept on the record so reported objective
-values match the un-reformulated objective exactly.
+The problem is kept as (x, G, gamma, lambda): Q u needs two products with
+G, and the dense Q is built only on demand (`dense_q`).  The other helpers
+take one problem or a stack of them (leading batch axes), without BLAS.
+The dropped constant ||x||^2 is added back in objective values.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +43,70 @@ class ChsaParams:
             raise ValueError("gamma and lambda must be non-negative")
 
 
+def gmul(G: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G w for (..., D, K) neighbor matrices and (..., K) vectors."""
+    return np.einsum("...dk,...k->...d", G, w)
+
+
+def gtmul(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G^T v for (..., D, K) neighbor matrices and (..., D) vectors."""
+    return np.einsum("...dk,...d->...k", G, v)
+
+
+def dense_q(G: np.ndarray, gamma: float) -> np.ndarray:
+    """The dense 2K x 2K quadratic term [[M, -M], [-M, M]] of one problem."""
+    M = 2.0 * (G.T @ G + gamma * np.eye(G.shape[1]))
+    return np.block([[M, -M], [-M, M]])
+
+
+def linear_term(x: np.ndarray, G: np.ndarray, lam) -> np.ndarray:
+    """c = (lambda - 2 G^T x, lambda + 2 G^T x), shape (..., 2K)."""
+    gx = 2.0 * gtmul(G, x)
+    lam = np.asarray(lam, dtype=float)[..., None]
+    return np.concatenate([lam - gx, lam + gx], axis=-1)
+
+
+def split_objective(x, G, gamma, lam, u) -> np.ndarray:
+    """1/2 u^T Q u + c^T u + ||x||^2 without forming Q: with w = w+ - w-,
+    u^T Q u = 2 (||G w||^2 + gamma ||w||^2)."""
+    w = u[..., :G.shape[-1]] - u[..., G.shape[-1]:]
+    quad = (np.sum(gmul(G, w) ** 2, axis=-1)
+            + np.asarray(gamma) * np.sum(w * w, axis=-1))
+    return (quad + np.sum(linear_term(x, G, lam) * u, axis=-1)
+            + np.sum(x * x, axis=-1))
+
+
 @dataclass(frozen=True)
 class QpProblem:
-    Q: np.ndarray
-    c: np.ndarray
-    A: np.ndarray
-    b: float
-    K: int
-    constant_term: float
+    """One point's split-variable QP, stored as (x, G, gamma, lambda)."""
+
+    x: np.ndarray      # (D,)
+    G: np.ndarray      # (D, K), one neighbor per column
+    gamma: float
+    lam: float
+    b = 1.0            # right-hand side of A u = b, a class constant
+
+    @property
+    def K(self) -> int:
+        return self.G.shape[1]
+
+    @property
+    def A(self) -> np.ndarray:
+        return np.concatenate([np.ones(self.K), -np.ones(self.K)])[None, :]
+
+    @property
+    def c(self) -> np.ndarray:
+        return linear_term(self.x, self.G, self.lam)
+
+    @property
+    def Q(self) -> np.ndarray:
+        """The dense quadratic term, built on every access."""
+        return dense_q(self.G, self.gamma)
 
     def objective(self, u: np.ndarray) -> float:
-        """1/2 u^T Q u + c^T u + constant_term."""
+        """1/2 u^T Q u + c^T u + ||x||^2."""
         u = np.asarray(u, dtype=float)
-        return float(0.5 * u @ self.Q @ u + self.c @ u + self.constant_term)
+        return float(split_objective(self.x, self.G, self.gamma, self.lam, u))
 
 
 def assemble(x: np.ndarray, neighbors: NeighborSet, cloud: PointCloud,
@@ -75,14 +127,8 @@ def assemble_raw(x: np.ndarray, G: np.ndarray, params: ChsaParams) -> QpProblem:
     if G.shape[0] != x.shape[0]:
         raise DimensionMismatch(
             f"point has dim {x.shape[0]}, neighbor matrix has dim {G.shape[0]}")
-    K = G.shape[1]
-    M = 2.0 * (G.T @ G + params.gamma * np.eye(K))
-    Q = np.block([[M, -M], [-M, M]])
-    gx = 2.0 * (G.T @ x)
-    c = np.concatenate([params.lam - gx, params.lam + gx])
-    A = np.concatenate([np.ones(K), -np.ones(K)])[None, :]
-    return QpProblem(Q=Q, c=c, A=A, b=1.0, K=K,
-                     constant_term=float(x @ x))
+    return QpProblem(x=x, G=G, gamma=float(params.gamma),
+                     lam=float(params.lam))
 
 
 def recover_weights(u: np.ndarray) -> np.ndarray:
@@ -90,15 +136,3 @@ def recover_weights(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     K = u.shape[0] // 2
     return u[:K] - u[K:]
-
-
-def dump_csv(problem: QpProblem, path: str) -> None:
-    """Debug dump of (Q, c, A, b) for cross-checking with external solvers."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["K", problem.K, "b", repr(problem.b),
-                         "constant_term", repr(problem.constant_term)])
-        for row in problem.Q:
-            writer.writerow(["Q"] + [repr(v) for v in row])
-        writer.writerow(["c"] + [repr(v) for v in problem.c])
-        writer.writerow(["A"] + [repr(v) for v in problem.A[0]])

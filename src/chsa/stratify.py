@@ -1,16 +1,18 @@
 """Run the stratification pipeline over a whole cloud.
 
-Per point: assemble the split-variable QP over its K nearest neighbors,
-solve it, recover the weight vector, record negativity / l2 norm /
-residual diagnostics.  Points are independent, so the per-point work can
-be farmed out to worker processes; results are always reassembled in
-index order so reports are identical for any worker count.
+Per point: the split-variable QP over its K nearest neighbors, the
+weight vector and its negativity / l2 norm / residual diagnostics.  The
+(point, parameter) problems of a run are solved in chunks (see CHUNK) by
+one batched interior-point call each, optionally in worker processes.
+Results do not depend on the chunking, so reports are byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,12 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotUnitScaled
-from .ipm import SolverConfig, solve
-from .neighbors import NeighborSet, knn_all
+from .ipm import SolverConfig, solve_batch
+from .neighbors import knn_all
 from .pointcloud import PointCloud, is_unit_scaled
-from .qp import ChsaParams, assemble_raw, recover_weights
+from .qp import ChsaParams, gmul, split_objective
 
 EPS_NEG_DEFAULT = 1e-7  # interior-point weights are never exactly zero
+
+CHUNK = 256      # problems per batched solve, fewer when K > CHUNK_K so a
+CHUNK_K = 200    # chunk's arrays never hold more than CHUNK x CHUNK_K columns
 
 STRATA_LABELS = ("vertex-candidates", "near-boundary", "mid", "interior")
 
@@ -60,31 +65,25 @@ class StratificationReport:
         return [r.index for r in self.records if r.has_negative]
 
 
-def _solve_one(points, x_idx, nbr_idx, params, solver_config, eps_neg):
-    x = points[x_idx]
-    G = points[nbr_idx].T
-    problem = assemble_raw(x, G, params)
-    sol = solve(problem, solver_config)
-    w = recover_weights(sol.u)
-    residual = float(np.linalg.norm(x - G @ w))
-    return WeightRecord(
-        index=int(x_idx),
-        neighbor_indices=np.asarray(nbr_idx, dtype=np.intp),
-        weights=w,
-        has_negative=bool(np.min(w) < -eps_neg),
-        l2_norm=float(np.linalg.norm(w)),
-        residual=residual,
-        sum_dev=abs(float(np.sum(w)) - 1.0),
-        iterations=sol.iterations,
-        converged=sol.converged,
-        objective=problem.objective(sol.u),
-    )
-
-
-def _solve_chunk(args):
-    points, indices, nbr_table, params, solver_config, eps_neg = args
-    return [_solve_one(points, i, nbr_table[i], params, solver_config, eps_neg)
-            for i in indices]
+def _solve_chunk(args) -> list:
+    """Solve one chunk of (point, gamma, lambda) problems; one record each."""
+    points, owners, nbr, gamma, lam, solver_config, eps_neg = args
+    x = points[owners]
+    G = np.ascontiguousarray(points[nbr].transpose(0, 2, 1))  # (B, D, K)
+    sol = solve_batch(x, G, gamma, lam, solver_config)
+    K = nbr.shape[1]
+    W = sol.u[:, :K] - sol.u[:, K:]
+    residual = np.linalg.norm(x - gmul(G, W), axis=1)
+    l2_norm = np.linalg.norm(W, axis=1)
+    sum_dev = np.abs(np.sum(W, axis=1) - 1.0)
+    objective = split_objective(x, G, gamma, lam, sol.u)
+    return [WeightRecord(
+        index=int(owners[b]), neighbor_indices=nbr[b], weights=W[b],
+        has_negative=bool(np.min(W[b]) < -eps_neg),
+        l2_norm=float(l2_norm[b]), residual=float(residual[b]),
+        sum_dev=float(sum_dev[b]), iterations=int(sol.iterations[b]),
+        converged=bool(sol.converged[b]), objective=float(objective[b]))
+        for b in range(len(owners))]
 
 
 def run_chsa(cloud: PointCloud, k: int, params: ChsaParams,
@@ -99,35 +98,8 @@ def run_chsa(cloud: PointCloud, k: int, params: ChsaParams,
     The cloud is expected to be scaled into [0, 1]; pass allow_unscaled=True
     to proceed (with a warning) on raw data.
     """
-    if not is_unit_scaled(cloud):
-        if not allow_unscaled:
-            raise NotUnitScaled(
-                "cloud coordinates fall outside [0, 1]; apply scale_unit "
-                "first or pass allow_unscaled=True")
-        warnings.warn("running on data outside [0, 1]; parameter advice in "
-                      "the docs assumes unit-scaled data")
-
-    if neighbor_sets is None:
-        neighbor_sets = knn_all(cloud, k)
-    nbr_table = [ns.indices for ns in neighbor_sets]
-    points = cloud.points
-    p = cloud.size
-
-    if workers <= 1:
-        records = _solve_chunk((points, range(p), nbr_table, params, solver, eps_neg))
-    else:
-        chunks = np.array_split(np.arange(p), workers * 4)
-        tasks = [(points, chunk, nbr_table, params, solver, eps_neg)
-                 for chunk in chunks if len(chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_solve_chunk, tasks))
-        records = [rec for part in parts for rec in part]
-        records.sort(key=lambda r: r.index)
-
-    report = StratificationReport(k=k, params=params, solver=solver,
-                                  eps_neg=eps_neg, records=records, seed=seed)
-    rank_by_norm(report)
-    return report
+    return negativity_sweep(cloud, k, [params], solver, eps_neg, workers,
+                            allow_unscaled, neighbor_sets, seed)[0][3]
 
 
 def rank_by_norm(report: StratificationReport) -> list:
@@ -151,20 +123,55 @@ def _label_strata(report: StratificationReport) -> None:
 
 def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
                      solver: SolverConfig = SolverConfig(),
-                     **kwargs) -> list:
-    """One CHSA run per (gamma, lambda) pair; neighbor sets computed once.
+                     eps_neg: float = EPS_NEG_DEFAULT, workers: int = 1,
+                     allow_unscaled: bool = False,
+                     neighbor_sets: Optional[list] = None,
+                     seed: Optional[int] = None) -> list:
+    """One CHSA run per (gamma, lambda) pair: neighbor sets are computed
+    once and all (point, pair) problems are solved in one chunked pass.
 
     Returns [(params, flagged_count, flagged_indices, report), ...].
     """
     if not param_list:
         raise ValueError("parameter list must be nonempty")
-    neighbor_sets = knn_all(cloud, k)
+    if not is_unit_scaled(cloud):
+        if not allow_unscaled:
+            raise NotUnitScaled(
+                "cloud coordinates fall outside [0, 1]; apply scale_unit "
+                "first or pass allow_unscaled=True")
+        warnings.warn("running on data outside [0, 1]; parameter advice in "
+                      "the docs assumes unit-scaled data")
+
+    if neighbor_sets is None:
+        neighbor_sets = knn_all(cloud, k)
+    nbr_table = np.stack([ns.indices for ns in neighbor_sets])
+    p = cloud.size
+    owners = np.tile(np.arange(p), len(param_list))
+    gammas = np.repeat([float(pr.gamma) for pr in param_list], p)
+    lams = np.repeat([float(pr.lam) for pr in param_list], p)
+
+    size = max(1, min(CHUNK, CHUNK * CHUNK_K // k,
+                      -(-owners.size // max(workers, 1))))
+    tasks = [(cloud.points, owners[s:s + size], nbr_table[owners[s:s + size]],
+              gammas[s:s + size], lams[s:s + size], solver, eps_neg)
+             for s in range(0, owners.size, size)]
+    if workers <= 1:
+        parts = [_solve_chunk(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            parts = list(pool.map(_solve_chunk, tasks))
+    records = [rec for part in parts for rec in part]
+
     out = []
-    for params in param_list:
-        report = run_chsa(cloud, k, params, solver,
-                          neighbor_sets=neighbor_sets, **kwargs)
-        flagged = report.flagged_indices
-        out.append((params, len(flagged), flagged, report))
+    for j, params in enumerate(param_list):
+        report = StratificationReport(k=k, params=params, solver=solver,
+                                      eps_neg=eps_neg, seed=seed,
+                                      records=records[j * p:(j + 1) * p])
+        rank_by_norm(report)
+        out.append((params, len(report.flagged_indices),
+                    report.flagged_indices, report))
     return out
 
 

@@ -10,7 +10,8 @@ def active_set_optimum(problem):
     equality-constrained QP through its KKT linear system directly and
     keep the best feasible candidate.  Exponential in 2K; only for small K.
     """
-    n = problem.c.shape[0]
+    Q, c, a = problem.Q, problem.c, problem.A[0]
+    n = c.shape[0]
     best_val, best_u = np.inf, None
     for mask in range(1 << n):
         free = [j for j in range(n) if not (mask >> j) & 1]
@@ -18,10 +19,10 @@ def active_set_optimum(problem):
             continue
         m = len(free)
         kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = problem.Q[np.ix_(free, free)]
-        kkt[:m, m] = problem.A[0, free]
-        kkt[m, :m] = problem.A[0, free]
-        rhs = np.concatenate([-problem.c[free], [problem.b]])
+        kkt[:m, :m] = Q[np.ix_(free, free)]
+        kkt[:m, m] = a[free]
+        kkt[m, :m] = a[free]
+        rhs = np.concatenate([-c[free], [problem.b]])
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         if np.max(np.abs(kkt @ sol - rhs)) > 1e-8:
             continue  # inconsistent system for this active set
@@ -34,6 +35,28 @@ def active_set_optimum(problem):
         if val < best_val:
             best_val, best_u = val, u
     return best_val, best_u
+
+
+def dense_newton_step(Q, u, z, r1, r2, r3):
+    """Newton step of the split QP from the full (2n+1) KKT system
+
+        [ Q   a  -I ] [du]   [r1]
+        [ a^T 0   0 ] [dy] = [r2]      a = (1, ..., 1, -1, ..., -1),
+        [ Z   0   U ] [dz]   [r3]
+
+    solved densely; the reference for the solver's rank-D step.
+    """
+    n = u.shape[0]
+    a = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
+    kkt = np.zeros((2 * n + 1, 2 * n + 1))
+    kkt[:n, :n] = Q
+    kkt[:n, n] = a
+    kkt[:n, n + 1:] = -np.eye(n)
+    kkt[n, :n] = a
+    kkt[n + 1:, :n] = np.diag(z)
+    kkt[n + 1:, n + 1:] = np.diag(u)
+    step = np.linalg.solve(kkt, np.concatenate([r1, [r2], r3]))
+    return step[:n], float(step[n]), step[n + 1:]
 
 
 def direct_objective(w, x, G, gamma, lam):

@@ -98,3 +98,24 @@ def test_pca_deterministic_sign():
     assert np.array_equal(a, b)
     for row in range(2):
         pass  # sign fixed by construction; determinism is the observable
+
+
+def test_lp_oracle_matches_highs():
+    """The simplex-method oracle agrees with HiGHS (scipy's linprog) on the
+    same feasibility LP, including lattices full of duplicate, collinear
+    and coplanar points."""
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(55)
+    for trial, dim in enumerate((2, 3, 5, 2, 3, 5)):
+        pts = rng.random((int(rng.integers(dim + 3, 40)), dim))
+        if trial >= 3:
+            pts = np.round(pts * 3) / 3
+        for i in range(pts.shape[0]):
+            others = np.delete(pts, i, axis=0)
+            res = linprog(np.zeros(len(others)),
+                          A_eq=np.vstack([others.T, np.ones(len(others))]),
+                          b_eq=np.append(pts[i], 1.0), bounds=(0, None),
+                          method="highs")
+            assert res.status in (0, 2)
+            assert lp_vertex_oracle(PointCloud(pts), i) == (res.status == 2)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,3 +135,63 @@ def test_log_transform_flag_recovers_vertices(tmp_path):
                  "--log-transform"]) == 0
     summary = json.loads((outdir / "verify_summary.json").read_text())
     assert summary["recall"] == 1.0
+
+
+def _exits_bad_spec(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_k_out_of_range_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, kind="corners-plus-cluster", seed=4)
+    for k in ("0", "54"):  # the cloud has p = 54 points
+        err = _exits_bad_spec(["stratify", "--generate", spec, "--k", k,
+                               "-o", str(tmp_path / "run")], capsys)
+        assert "--k" in err
+
+
+def test_non_numeric_sweep_lambda_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, kind="corners-plus-cluster", seed=4)
+    err = _exits_bad_spec(["stratify", "--generate", spec, "--sweep-lambda",
+                           "1e-3,abc", "-o", str(tmp_path / "run")], capsys)
+    assert "--sweep-lambda" in err
+
+
+def test_zero_threads_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, kind="corners-plus-cluster", seed=4)
+    err = _exits_bad_spec(["stratify", "--generate", spec, "--threads", "0",
+                           "-o", str(tmp_path / "run")], capsys)
+    assert "--threads" in err
+
+
+def test_report_independent_of_blas_threads(tmp_path):
+    """report.json is byte-identical with the BLAS/OpenMP thread variables
+    unset (all cores) and set to one thread."""
+    rng = np.random.default_rng(201)
+    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1)
+                        for k in (0, 1)], dtype=float)
+    path = tmp_path / "cube.csv"
+    np.savetxt(path, np.vstack([rng.random((250, 3)), corners]),
+               delimiter=",", fmt="%.17g")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in (None, "1"):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+            if threads is not None:
+                env[var] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        outdir = tmp_path / f"blas{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "chsa.cli", "stratify", "--input", str(path),
+             "-o", str(outdir), "--k", "200", "--gamma", "1e-5",
+             "--lambda", "0.025", "--no-plot"],
+            env=env, check=True, capture_output=True, timeout=600)
+        reports.append((outdir / "report.json").read_bytes())
+    assert reports[0] == reports[1]

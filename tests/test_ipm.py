@@ -1,28 +1,33 @@
 import numpy as np
 import pytest
 
-from helpers import active_set_optimum, random_chsa_instance
+from helpers import (active_set_optimum, dense_newton_step, random_chsa_instance)
 
-from chsa.ipm import SolverConfig, solve
-from chsa.qp import ChsaParams, QpProblem, assemble_raw, recover_weights
-
-
-def simplex_problem(Q, c):
-    n = c.shape[0]
-    return QpProblem(Q=Q, c=c, A=np.ones((1, n)), b=1.0, K=n // 2,
-                     constant_term=0.0)
+from chsa import ipm
+from chsa.ipm import SolverConfig, solve, solve_batch
+from chsa.qp import ChsaParams, assemble_raw, dense_q, recover_weights
 
 
 def test_symmetric_projection_onto_simplex():
-    sol = solve(simplex_problem(2 * np.eye(4), np.zeros(4)))
+    """No neighbor term (G = 0): gamma ||w||^2 alone spreads the weight
+    evenly, and lambda > 0 keeps the split complementary."""
+    prob = assemble_raw(np.zeros(1), np.zeros((1, 4)), ChsaParams(1.0, 1.0))
+    sol = solve(prob)
     assert sol.converged
-    assert np.allclose(sol.u, 0.25, atol=1e-7)
+    assert np.allclose(sol.u, [0.25] * 4 + [0.0] * 4, atol=1e-7)
 
 
 def test_linear_cost_picks_smallest():
-    sol = solve(simplex_problem(1e-9 * np.eye(3), np.array([1.0, 2.0, 3.0])))
+    """On a line, x = -1 sits next to neighbor 0 at 0 (others at 1 and 2).
+    With lambda = 4 every extrapolating weight costs more l1 than it saves
+    residual, so c = (lambda - 2 G^T x, lambda + 2 G^T x) makes the
+    nearest neighbor take all the weight, with strictly positive
+    multipliers everywhere else."""
+    prob = assemble_raw(np.array([-1.0]), np.array([[0.0, 1.0, 2.0]]),
+                        ChsaParams(gamma=1e-9, lam=4.0))
+    sol = solve(prob)
     assert sol.converged
-    assert np.allclose(sol.u, [1, 0, 0], atol=1e-6)
+    assert np.allclose(sol.u, [1, 0, 0, 0, 0, 0], atol=1e-6)
 
 
 def test_kkt_residuals_at_convergence():
@@ -54,28 +59,47 @@ def test_matches_active_set_enumeration():
                              - recover_weights(ref_u))) < 1e-5
 
 
-def test_backends_agree():
+def test_backends_agree(monkeypatch):
+    """The rank-D Newton step matches a dense (4K+1) KKT solve at every
+    iterate of a K = 200, D = 3 problem.  The solver works on the
+    normalized problem and adds its regularization floor to z/u, i.e. it
+    solves the KKT system of Q + _REG I, so the reference does too."""
     rng = np.random.default_rng(33)
-    for _ in range(10):
-        x, G, params, prob = random_chsa_instance(rng, k_max=20)
-        wd = recover_weights(solve(prob, SolverConfig(newton_backend="dense")).u)
-        ww = recover_weights(solve(prob, SolverConfig(newton_backend="woodbury")).u)
-        assert np.max(np.abs(wd - ww)) < 1e-6
+    cloud = rng.random((2000, 3))
+    x = np.array([0.02, 0.5, 0.97])
+    order = np.argsort(np.sum((cloud - x) ** 2, axis=1))[:200]
+    prob = assemble_raw(x, cloud[order].T, ChsaParams(gamma=1e-5, lam=0.025))
+
+    steps = []
+    newton = ipm._newton
+
+    def recording(G, gamma, u, z, r_dual, r_pri, r3, it):
+        out = newton(G, gamma, u, z, r_dual, r_pri, r3, it)
+        steps.append((dense_q(G[0], gamma[0]), u[0], z[0], -r_dual[0],
+                      -r_pri[0], r3[0], out))
+        return out
+
+    monkeypatch.setattr(ipm, "_newton", recording)
+    sol = solve(prob)
+    assert sol.converged and len(steps) == sol.iterations >= 10
+    for Q, u, z, r1, r2, r3, (du, dy, dz) in steps:
+        Q = Q + ipm._REG * np.eye(2 * prob.K)
+        ref_u, ref_y, ref_z = dense_newton_step(Q, u, z, r1, r2, r3)
+        assert np.max(np.abs(du[0] - ref_u)) <= 1e-10 * np.max(np.abs(ref_u))
+        assert abs(dy[0] - ref_y) <= 1e-10 * max(abs(ref_y), np.max(np.abs(ref_u)))
+        assert np.max(np.abs(dz[0] - ref_z)) <= 1e-10 * np.max(np.abs(ref_z))
 
 
 def test_gap_decreases_fast():
     """Complementarity gap must fall >= 10x over any 20 iterations."""
     rng = np.random.default_rng(34)
     x, G, params, prob = random_chsa_instance(rng, k_max=15)
-    trace_path = None
-    import tempfile, os, csv
-    with tempfile.TemporaryDirectory() as td:
-        trace_path = os.path.join(td, "trace.csv")
-        sol = solve(prob, trace_path=trace_path)
-        assert sol.converged
-        with open(trace_path) as f:
-            rows = list(csv.DictReader(f))
-    gaps = [float(r["gap"]) for r in rows]
+    sol = solve(prob)
+    assert sol.converged
+    # the gap after m steps is the final gap of a run capped at m steps
+    gaps = [solve(prob, SolverConfig(max_iters=m)).final_gap
+            for m in range(1, sol.iterations + 1)]
+    assert gaps[-1] == sol.final_gap
     for i in range(len(gaps) - 20):
         assert gaps[i + 20] <= gaps[i] / 10.0
 
@@ -151,5 +175,29 @@ def test_config_validation():
         SolverConfig(tol_gap=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(newton_backend="magic")
+
+
+def test_batch_composition_is_bitwise_invisible():
+    """A problem's weights and iteration count are bitwise the same whether
+    it is solved alone, in a chunk, or in the whole batch."""
+    rng = np.random.default_rng(40)
+    cloud = rng.random((60, 3))
+    K = 20
+    owners = np.arange(37)
+    d2 = np.sum((cloud[owners, None, :] - cloud[None, :, :]) ** 2, axis=2)
+    d2[owners, owners] = np.inf
+    nbr = np.argsort(d2, axis=1, kind="stable")[:, :K]
+    x = cloud[owners]
+    G = cloud[nbr].transpose(0, 2, 1)
+    lam = np.where(owners % 2 == 0, 1e-3, 0.025)
+    whole = solve_batch(x, G, 1e-5, lam)
+    assert np.all(whole.converged)
+    chunked = [solve_batch(x[s:s + 8], G[s:s + 8], 1e-5, lam[s:s + 8])
+               for s in range(0, 37, 8)]
+    assert np.array_equal(np.vstack([c.u for c in chunked]), whole.u)
+    assert np.array_equal(np.concatenate([c.iterations for c in chunked]),
+                          whole.iterations)
+    for b in range(37):
+        alone = solve(assemble_raw(x[b], G[b], ChsaParams(1e-5, lam[b])))
+        assert np.array_equal(alone.u, whole.u[b])
+        assert alone.iterations == whole.iterations[b]

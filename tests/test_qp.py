@@ -7,7 +7,7 @@ from chsa.errors import DimensionMismatch
 from chsa.ipm import SolverConfig, solve
 from chsa.neighbors import knn_all
 from chsa.pointcloud import PointCloud
-from chsa.qp import ChsaParams, assemble, assemble_raw, dump_csv, recover_weights
+from chsa.qp import ChsaParams, assemble, assemble_raw, recover_weights
 
 
 def random_feasible_split(rng, K):
@@ -153,12 +153,3 @@ def test_scaled_problems_share_argmin():
                               ChsaParams(alpha ** 2 * 1e-5, alpha ** 2 * 1e-3))
         w1 = recover_weights(solve(scaled, tight).u)
         assert np.max(np.abs(w0 - w1)) < 1e-6
-
-
-def test_dump_csv(tmp_path):
-    prob = assemble_raw(np.array([0.5, 0.5]), np.eye(2), ChsaParams(1e-6, 1e-3))
-    path = tmp_path / "qp.csv"
-    dump_csv(prob, str(path))
-    text = path.read_text()
-    assert text.startswith("K,2")
-    assert text.count("Q,") == 4

@@ -9,6 +9,7 @@ from chsa.datagen import GenSpec, gen
 from chsa.errors import NotUnitScaled
 from chsa.ipm import SolverConfig
 from chsa.pointcloud import PointCloud
+from chsa import stratify
 from chsa.qp import ChsaParams
 from chsa.stratify import (negativity_sweep, rank_by_norm, report_to_json,
                            run_chsa, write_report_csv)
@@ -131,6 +132,17 @@ def test_parallel_matches_serial():
     serial = run_chsa(cloud, 10, PARAMS, workers=1)
     parallel = run_chsa(cloud, 10, PARAMS, workers=3)
     assert report_to_json(serial) == report_to_json(parallel)
+
+
+def test_chunk_size_does_not_change_report(monkeypatch):
+    rng = np.random.default_rng(49)
+    cloud = PointCloud(rng.random((40, 3)))
+    params = [PARAMS, ChsaParams(gamma=1e-5, lam=0.025)]
+    default = [r[3] for r in negativity_sweep(cloud, 12, params)]
+    monkeypatch.setattr(stratify, "CHUNK", 7)
+    small = [r[3] for r in negativity_sweep(cloud, 12, params)]
+    for a, b in zip(default, small):
+        assert report_to_json(a) == report_to_json(b)
 
 
 def test_json_schema():
