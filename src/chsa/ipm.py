@@ -20,9 +20,13 @@ weights with large d.
 
 A batch of problems advances together in (B, 2K) arrays; each problem
 stops on its own tests and leaves the working set.  All arithmetic is
-per problem (elementwise, row sums, einsum, one small gemm and LAPACK
-solve each), so iterates do not depend on the batch; the D x K by K x D
-gemm is far too small for OpenBLAS to thread, so nor on its thread count.
+per problem (elementwise, row sums, einsum, batched matmul and LAPACK
+solve), so iterates do not depend on the batch, nor on the BLAS thread
+count: OpenBLAS threads a gemm with m n k > 262144, which rounds
+differently, so the D x D capacitance is summed in order over K-blocks of
+max(1, 65536 // D^2) columns, one unthreaded gemm each for D <= 512.  The
+one- or two-column products G dv and G^T f were checked to keep their
+bits for any thread count.
 
 With ``polish=True`` a converged run is refined by an active-set
 crossover (see _polish) that lands on an exact KKT point; useful when
@@ -76,9 +80,8 @@ class SolverSolution:
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray, frac: float) -> np.ndarray:
-    """Per row, the longest alpha <= 1 keeping v + alpha dv >= (1 - frac) v."""
-    ratio = np.divide(-v, dv, out=np.full(v.shape, np.inf), where=dv < 0)
-    return np.minimum(1.0, frac * np.min(ratio, axis=1))
+    """Per row, max alpha <= 1 with v + alpha dv >= (1 - frac) v, for v > 0."""
+    return frac / np.maximum(np.max(-dv / v, axis=1), frac)
 
 
 def _residuals(G, gamma, c, u, y, z):
@@ -100,19 +103,22 @@ def _newton(G, gamma, u, z, r_dual, r_pri, r3, it):
     rbar = r3 / u - r_dual
     vp, vm = rbar[:, :K], rbar[:, K:]
     rho = (sm * vp - sp * vm) / ssum
-    # capacitance matrix I + 2 G diag(d) G^T, one gemm per problem
-    cap = 2.0 * ((G * d[:, None, :]) @ G.transpose(0, 2, 1))
-    cap += np.eye(G.shape[1])
+    # capacitance I + 2 G diag(d) G^T over K-blocks (see the module docstring)
+    Gt, width = G.transpose(0, 2, 1), max(1, 65536 // G.shape[1] ** 2)
+    cap = np.eye(G.shape[1])
+    for s in range(0, K, width):
+        blk = slice(s, s + width)
+        cap = cap + 2.0 * ((G[:, :, blk] * d[:, None, blk]) @ Gt[:, blk])
 
     def s_inv(v):
         """S^{-1} v for S = diag(dinv) + 2 G^T G and v of shape (B, K, m)."""
         dv = d[:, :, None] * v
         try:
-            f = np.linalg.solve(cap, np.einsum("bdk,bkm->bdm", G, dv))
+            f = np.linalg.solve(cap, G @ dv)
         except np.linalg.LinAlgError as exc:
             raise KktSingular(
                 f"reduced system singular at iteration {it}") from exc
-        return dv - 2.0 * d[:, :, None] * np.einsum("bdk,bdm->bkm", G, f)
+        return dv - 2.0 * d[:, :, None] * (Gt @ f)
 
     x = s_inv(np.stack([rho, np.ones_like(rho)], axis=2))
     xr, x1 = x[:, :, 0], x[:, :, 1]

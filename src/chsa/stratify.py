@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -179,47 +180,50 @@ def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
 # serialization
 # ---------------------------------------------------------------------------
 
+def _json_value(v) -> str:
+    """One scalar as json.dumps writes it (finite floats by float.__repr__)."""
+    if type(v) is float and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
+def _report_chunks(report: StratificationReport):
+    """report.json piece by piece: the text json.dumps(obj, indent=1) writes
+    for the report's dict, one record at a time, never the whole dict."""
+    solver = ("tol_gap", "tol_feas", "max_iters", "step_fraction",
+              "centering_sigma")
+    params = {"k": report.k, "gamma": report.params.gamma,
+              "lambda": report.params.lam, "eps_neg": report.eps_neg,
+              "seed": report.seed,
+              "solver": {n: getattr(report.solver, n) for n in solver}}
+    head = json.dumps({"schema": 1, "params": params}, indent=1)
+    yield head[:-2] + ',\n "records": ['    # drop the closing "\n}"
+    sep = "\n  "
+    for r in report.records:
+        fmt = float.__repr__ if np.all(np.isfinite(r.weights)) else _json_value
+        weights = ",\n    ".join([
+            f'"{j}": {fmt(w)}'
+            for j, w in zip(r.neighbor_indices.tolist(), r.weights.tolist())])
+        tail = {"has_negative": r.has_negative, "l2_norm": r.l2_norm,
+                "residual": r.residual, "sum_dev": r.sum_dev,
+                "iterations": r.iterations, "converged": r.converged,
+                "rank": r.rank, "stratum": report.strata.get(r.index)}
+        yield (f'{sep}{{\n   "index": {_json_value(r.index)},\n   "weights": '
+               + ("{\n    " + weights + "\n   }" if weights else "{}")
+               + "".join([f',\n   "{key}": {_json_value(v)}'
+                          for key, v in tail.items()]) + "\n  }")
+        sep = ",\n  "
+    ranking = json.dumps({"ranking": report.ranking}, indent=1)
+    yield ("\n ]," if report.records else "],") + ranking[1:]  # drop the "{"
+
+
 def report_to_json(report: StratificationReport) -> str:
-    obj = {
-        "schema": 1,
-        "params": {
-            "k": report.k,
-            "gamma": report.params.gamma,
-            "lambda": report.params.lam,
-            "eps_neg": report.eps_neg,
-            "seed": report.seed,
-            "solver": {
-                "tol_gap": report.solver.tol_gap,
-                "tol_feas": report.solver.tol_feas,
-                "max_iters": report.solver.max_iters,
-                "step_fraction": report.solver.step_fraction,
-                "centering_sigma": report.solver.centering_sigma,
-            },
-        },
-        "records": [
-            {
-                "index": r.index,
-                "weights": {int(j): float(w)
-                            for j, w in zip(r.neighbor_indices, r.weights)},
-                "has_negative": r.has_negative,
-                "l2_norm": r.l2_norm,
-                "residual": r.residual,
-                "sum_dev": r.sum_dev,
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "rank": r.rank,
-                "stratum": report.strata.get(r.index),
-            }
-            for r in report.records
-        ],
-        "ranking": report.ranking,
-    }
-    return json.dumps(obj, indent=1)
+    return "".join(_report_chunks(report))
 
 
 def write_report_json(report: StratificationReport, path: str) -> None:
     with open(path, "w") as f:
-        f.write(report_to_json(report))
+        f.writelines(_report_chunks(report))
 
 
 def write_report_csv(report: StratificationReport, path: str) -> None:

@@ -75,3 +75,42 @@ def random_chsa_instance(rng, k_max=6, d_max=5):
     params = ChsaParams(gamma=10 ** rng.uniform(-6, -2),
                         lam=10 ** rng.uniform(-5, -1))
     return x, G, params, assemble_raw(x, G, params)
+
+
+def report_dict(report):
+    """The report as the dict whose json.dumps(..., indent=1) is report.json;
+    the reference for the streaming writer in `stratify`."""
+    return {
+        "schema": 1,
+        "params": {
+            "k": report.k,
+            "gamma": report.params.gamma,
+            "lambda": report.params.lam,
+            "eps_neg": report.eps_neg,
+            "seed": report.seed,
+            "solver": {
+                "tol_gap": report.solver.tol_gap,
+                "tol_feas": report.solver.tol_feas,
+                "max_iters": report.solver.max_iters,
+                "step_fraction": report.solver.step_fraction,
+                "centering_sigma": report.solver.centering_sigma,
+            },
+        },
+        "records": [
+            {
+                "index": r.index,
+                "weights": {int(j): float(w)
+                            for j, w in zip(r.neighbor_indices, r.weights)},
+                "has_negative": r.has_negative,
+                "l2_norm": r.l2_norm,
+                "residual": r.residual,
+                "sum_dev": r.sum_dev,
+                "iterations": r.iterations,
+                "converged": r.converged,
+                "rank": r.rank,
+                "stratum": report.strata.get(r.index),
+            }
+            for r in report.records
+        ],
+        "ranking": report.ranking,
+    }

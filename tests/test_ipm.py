@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,15 +96,25 @@ def test_backends_agree(monkeypatch):
 
 
 def test_gap_decreases_fast():
-    """Complementarity gap must fall >= 10x over any 20 iterations."""
+    """Complementarity gap must fall >= 10x over any 20 iterations, on the
+    slowest point of a seeded 258-point cube at K = 200."""
     rng = np.random.default_rng(34)
-    x, G, params, prob = random_chsa_instance(rng, k_max=15)
+    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1)
+                        for k in (0, 1)], dtype=float)
+    cloud = np.vstack([rng.random((250, 3)), corners])
+    d2 = np.sum((cloud[:, None, :] - cloud[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    nbr = np.argsort(d2, axis=1, kind="stable")[:, :200]
+    G = cloud[nbr].transpose(0, 2, 1)
+    b = int(np.argmax(solve_batch(cloud, G, 1e-5, 0.025).iterations))
+    prob = assemble_raw(cloud[b], G[b], ChsaParams(gamma=1e-5, lam=0.025))
     sol = solve(prob)
     assert sol.converged
     # the gap after m steps is the final gap of a run capped at m steps
     gaps = [solve(prob, SolverConfig(max_iters=m)).final_gap
             for m in range(1, sol.iterations + 1)]
     assert gaps[-1] == sol.final_gap
+    assert len(gaps) > 20  # at least one 20-iteration window
     for i in range(len(gaps) - 20):
         assert gaps[i + 20] <= gaps[i] / 10.0
 
@@ -201,3 +216,34 @@ def test_batch_composition_is_bitwise_invisible():
         alone = solve(assemble_raw(x[b], G[b], ChsaParams(1e-5, lam[b])))
         assert np.array_equal(alone.u, whole.u[b])
         assert alone.iterations == whole.iterations[b]
+
+
+def test_solution_independent_of_blas_threads():
+    """At D = 40, K = 599 the capacitance gemm of one problem is large
+    enough for OpenBLAS to thread; the blocked accumulation keeps the
+    weights bitwise the same with the BLAS/OpenMP thread variables unset
+    and set to one thread."""
+    script = (
+        "import sys, numpy as np\n"
+        "from chsa.ipm import solve_batch\n"
+        "cloud = np.random.default_rng(7).random((600, 40))\n"
+        "nbr = np.array([np.delete(np.arange(600), i) for i in range(8)])\n"
+        "G = np.ascontiguousarray(cloud[nbr].transpose(0, 2, 1))\n"
+        "sol = solve_batch(cloud[:8], G, 1e-6, 1e-3)\n"
+        "assert sol.converged.all()\n"
+        "sys.stdout.buffer.write(sol.u.tobytes())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in (None, "1"):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+            if threads is not None:
+                env[var] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, timeout=600).stdout)
+    assert len(outputs[0]) == 8 * 2 * 599 * 8
+    assert outputs[0] == outputs[1]

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import report_dict
+
 from chsa.analysis import hull_2d
 from chsa.datagen import GenSpec, gen
 from chsa.errors import NotUnitScaled
@@ -12,7 +14,7 @@ from chsa.pointcloud import PointCloud
 from chsa import stratify
 from chsa.qp import ChsaParams
 from chsa.stratify import (negativity_sweep, rank_by_norm, report_to_json,
-                           run_chsa, write_report_csv)
+                           run_chsa, write_report_csv, write_report_json)
 
 PARAMS = ChsaParams(gamma=1e-6, lam=1e-3)
 
@@ -157,6 +159,30 @@ def test_json_schema():
     rec = obj["records"][0]
     assert set(rec["weights"]) <= {str(j) for j in range(10)}
     assert len(rec["weights"]) == 4
+
+
+def test_json_writer_matches_json_dumps(tmp_path):
+    """The streaming writer produces exactly json.dumps(obj, indent=1) of
+    the report's dict, also for seed=None, non-converged records and
+    non-finite floats (json writes NaN/Infinity where repr writes nan/inf)."""
+    cube = gen(GenSpec(kind="cube-with-vertices", n_random=60, seed=50))
+    simplex = gen(GenSpec(kind="simplex-mixture", n_random=40, seed=50))
+    sweep = negativity_sweep(simplex, 12, [PARAMS, ChsaParams(1e-5, 0.025)],
+                             seed=50)
+    reports = [run_chsa(cube, 20, PARAMS, seed=50), sweep[0][3], sweep[1][3],
+               run_chsa(cube, 8, PARAMS, SolverConfig(max_iters=2))]
+    assert reports[3].seed is None
+    assert not any(r.converged for r in reports[3].records)
+    odd = run_chsa(cube, 4, PARAMS)
+    odd.records[0].weights[1:] = [math.nan, math.inf, -math.inf]
+    odd.records[1].l2_norm, odd.records[1].residual = math.nan, -math.inf
+    reports.append(odd)
+    for report in reports:
+        text = json.dumps(report_dict(report), indent=1)
+        assert report_to_json(report) == text
+        write_report_json(report, str(tmp_path / "report.json"))
+        assert (tmp_path / "report.json").read_text() == text
+    assert "NaN" in text and "-Infinity" in text
 
 
 def test_csv_export(tmp_path):
