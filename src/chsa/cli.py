@@ -11,10 +11,17 @@ import math
 import os
 import sys
 
-from . import analysis, datagen, pointcloud, stratify, svgplot
-from .errors import ChsaError
-from .ipm import SolverConfig
-from .qp import ChsaParams
+# One BLAS/OpenMP thread per process unless the caller sets the variables:
+# no chsa kernel is large enough to gain from a BLAS thread pool, and
+# `--threads` worker processes inherit the setting.  This must run before
+# the first import that loads numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import analysis, datagen, pointcloud, stratify, svgplot  # noqa: E402
+from .errors import ChsaError  # noqa: E402
+from .ipm import SolverConfig  # noqa: E402
+from .qp import ChsaParams  # noqa: E402
 
 EXIT_BAD_SPEC = 2
 EXIT_IO = 3
@@ -90,6 +97,8 @@ def _load_cloud(args) -> pointcloud.PointCloud:
             _fail(f"bad generator spec: {exc}")
     try:
         return pointcloud.read_csv(args.input)
+    except ChsaError as exc:
+        _fail(f"bad input: {exc}")
     except (OSError, ValueError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         sys.exit(EXIT_IO)
@@ -97,7 +106,10 @@ def _load_cloud(args) -> pointcloud.PointCloud:
 
 def _preprocess(cloud, args):
     if args.log_transform:
-        cloud = pointcloud.log_transform(cloud)
+        try:
+            cloud = pointcloud.log_transform(cloud)
+        except ChsaError as exc:
+            _fail(f"--log-transform: {exc}")
     if args.scale == "unit":
         if args.global_scale:
             lo = cloud.points.min()
@@ -139,32 +151,39 @@ def cmd_generate(args) -> int:
 
 
 def _prepare(args):
-    """Check and load the input; return (cloud, k, solver, run options)."""
+    """Check and load the input; return (cloud, k, params, solver, run
+    options)."""
     if args.threads < 1:
         _fail(f"--threads must be at least 1, got {args.threads}")
+    try:
+        params = ChsaParams(gamma=args.gamma, lam=args.lam)
+    except ValueError as exc:
+        _fail(f"--gamma/--lambda: {exc}")
+    try:
+        solver = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas)
+    except ValueError as exc:
+        _fail(f"--tol-gap/--tol-feas: {exc}")
     cloud = _preprocess(_load_cloud(args), args)
     k = cloud.size - 1 if args.k is None else args.k
     if not 1 <= k <= cloud.size - 1:
         _fail(f"--k must lie in [1, p-1] = [1, {cloud.size - 1}], got {k}")
     os.makedirs(args.output_dir, exist_ok=True)
     _dump_config(args, args.output_dir)
-    solver = SolverConfig(tol_gap=args.tol_gap, tol_feas=args.tol_feas)
-    return cloud, k, solver, dict(workers=args.threads, seed=args.seed,
-                                  allow_unscaled=(args.scale == "none"))
+    run_args = dict(workers=args.threads, seed=args.seed,
+                    allow_unscaled=(args.scale == "none"))
+    return cloud, k, params, solver, run_args
 
 
 def cmd_stratify(args) -> int:
     lams = _sweep_lambdas(args.sweep_lambda) if args.sweep_lambda else None
-    cloud, k, solver, run_args = _prepare(args)
+    cloud, k, params, solver, run_args = _prepare(args)
     if lams is not None:
         results = stratify.negativity_sweep(
-            cloud, k, [ChsaParams(gamma=args.gamma, lam=lam) for lam in lams],
+            cloud, k, [ChsaParams(gamma=params.gamma, lam=lam) for lam in lams],
             solver, **run_args)
         outputs = [(f"_lambda{lam:g}", res[3]) for lam, res in zip(lams, results)]
     else:
-        report = stratify.run_chsa(
-            cloud, k, ChsaParams(gamma=args.gamma, lam=args.lam), solver,
-            **run_args)
+        report = stratify.run_chsa(cloud, k, params, solver, **run_args)
         outputs = [("", report)]
 
     coords = None if args.no_plot else (
@@ -191,10 +210,8 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cloud, k, solver, run_args = _prepare(args)
-    report = stratify.run_chsa(
-        cloud, k, ChsaParams(gamma=args.gamma, lam=args.lam), solver,
-        **run_args)
+    cloud, k, params, solver, run_args = _prepare(args)
+    report = stratify.run_chsa(cloud, k, params, solver, **run_args)
     flagged = set(report.flagged_indices)
 
     if args.oracle == "2d":

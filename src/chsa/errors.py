@@ -9,6 +9,10 @@ class NonPositiveCoordinate(ChsaError):
     """Log transform requested on data with a coordinate <= 0."""
 
 
+class NonFiniteCoordinate(ChsaError):
+    """A point has a NaN or infinite coordinate."""
+
+
 class NonPositiveAlpha(ChsaError):
     """Uniform scaling factor must be strictly positive."""
 

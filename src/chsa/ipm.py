@@ -61,8 +61,8 @@ class SolverConfig:
             raise ValueError("start_scale must be positive")
         if not 0 < self.step_fraction < 1:
             raise ValueError("step_fraction must lie in (0, 1)")
-        if self.tol_gap <= 0 or self.tol_feas <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < v < np.inf for v in (self.tol_gap, self.tol_feas)):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveAlpha, NonPositiveCoordinate
+from .errors import (NonFiniteCoordinate, NonPositiveAlpha,
+                     NonPositiveCoordinate)
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,10 @@ class PointCloud:
             raise ValueError("points must be a 2-D array of shape (p, D)")
         if pts.shape[0] < 2 or pts.shape[1] < 1:
             raise ValueError("need p >= 2 points of dimension D >= 1")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise NonFiniteCoordinate(
+                f"point {int(np.argmin(finite))} has a non-finite coordinate")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -152,8 +157,8 @@ def _looks_like_header(row: Sequence[str]) -> bool:
         float(row[0])
         return False
     except ValueError:
-        # header iff more than one cell is non-numeric (a single trailing
-        # string is a label, but a first-cell string means header)
+        # header iff the first cell is non-numeric (a string in the last
+        # cell alone is a point label, see _parse_rows)
         return True
 
 

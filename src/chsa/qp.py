@@ -39,8 +39,8 @@ class ChsaParams:
     lam: float
 
     def __post_init__(self):
-        if self.gamma < 0 or self.lam < 0:
-            raise ValueError("gamma and lambda must be non-negative")
+        if not all(0 <= v < np.inf for v in (self.gamma, self.lam)):
+            raise ValueError("gamma and lambda must be finite and >= 0")
 
 
 def gmul(G: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -159,6 +157,9 @@ def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
     if workers <= 1:
         parts = [_solve_chunk(task) for task in tasks]
     else:
+        # imported here so that a one-process run does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")) as pool:

@@ -168,30 +168,95 @@ def test_zero_threads_exits_2(tmp_path, capsys):
     assert "--threads" in err
 
 
+def test_log_transform_non_positive_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("1.0,2.0\n0.5,0.0\n3.0,4.0\n")
+    err = _exits_bad_spec(["stratify", "--input", str(path),
+                           "--log-transform", "-o", str(tmp_path / "run")],
+                          capsys)
+    assert "--log-transform" in err
+
+
+def test_nan_in_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("0.1,0.2\n0.5,nan\n0.3,0.4\n")
+    err = _exits_bad_spec(["stratify", "--input", str(path),
+                           "-o", str(tmp_path / "run")], capsys)
+    assert "point 1" in err
+
+
+def test_bad_lambda_or_gamma_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, kind="corners-plus-cluster", seed=4)
+    for flag in ("--lambda", "--gamma"):
+        for value in ("-1e-3", "inf", "nan"):
+            err = _exits_bad_spec(["verify", "--generate", spec,
+                                   f"{flag}={value}",
+                                   "-o", str(tmp_path / "run")], capsys)
+            assert "--gamma/--lambda" in err
+
+
+def test_non_positive_tolerance_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, kind="corners-plus-cluster", seed=4)
+    for flag, value in (("--tol-gap", "0"), ("--tol-feas", "-1e-8"),
+                        ("--tol-gap", "nan")):
+        err = _exits_bad_spec(["stratify", "--generate", spec,
+                               f"{flag}={value}", "-o", str(tmp_path / "run")],
+                              capsys)
+        assert "--tol-gap/--tol-feas" in err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env(threads=None) -> dict:
+    """This environment with the checkout's sources first on PYTHONPATH and
+    every BLAS/OpenMP thread variable unset, or set to `threads`."""
+    env = dict(os.environ)
+    for var in BLAS_VARS:
+        env.pop(var, None)
+        if threads is not None:
+            env[var] = threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def _python(code: str, env: dict) -> str:
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def test_import_chsa_loads_no_numpy():
+    out = _python("import sys, chsa\n"
+                  "print('numpy' in sys.modules)\n"
+                  "from chsa import ChsaParams, PointCloud, hull_2d, run_chsa\n"
+                  "print('numpy' in sys.modules)\n", _env())
+    assert out.split() == ["False", "True"]
+
+
+def test_cli_defaults_to_one_blas_thread():
+    code = ("import os, chsa.cli\n"
+            f"print(*[os.environ[v] for v in {BLAS_VARS!r}])\n")
+    assert _python(code, _env()).split() == ["1", "1", "1"]
+    assert _python(code, _env("2")).split() == ["2", "2", "2"]
+
+
 def test_report_independent_of_blas_threads(tmp_path):
     """report.json is byte-identical with the BLAS/OpenMP thread variables
-    unset (all cores) and set to one thread."""
-    rng = np.random.default_rng(201)
-    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1)
-                        for k in (0, 1)], dtype=float)
-    path = tmp_path / "cube.csv"
-    np.savetxt(path, np.vstack([rng.random((250, 3)), corners]),
-               delimiter=",", fmt="%.17g")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    set to two threads and to one.  At p = 403, D = 20 the kNN product has
+    p^2 D > 262144 multiply-adds, above OpenBLAS's threshold for threading
+    a gemm."""
+    rng = np.random.default_rng(403)
+    path = tmp_path / "cloud.csv"
+    np.savetxt(path, rng.random((403, 20)), delimiter=",", fmt="%.17g")
     reports = []
-    for threads in (None, "1"):
-        env = dict(os.environ)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            env.pop(var, None)
-            if threads is not None:
-                env[var] = threads
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for threads in ("2", "1"):
         outdir = tmp_path / f"blas{threads}"
         subprocess.run(
             [sys.executable, "-m", "chsa.cli", "stratify", "--input", str(path),
-             "-o", str(outdir), "--k", "200", "--gamma", "1e-5",
-             "--lambda", "0.025", "--no-plot"],
-            env=env, check=True, capture_output=True, timeout=600)
+             "-o", str(outdir), "--k", "50", "--gamma", "1e-6",
+             "--lambda", "1e-3", "--no-plot"],
+            env=_env(threads), check=True, capture_output=True, timeout=600)
         reports.append((outdir / "report.json").read_bytes())
     assert reports[0] == reports[1]

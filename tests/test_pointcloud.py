@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chsa.errors import NonPositiveAlpha, NonPositiveCoordinate
+from chsa.errors import (NonFiniteCoordinate, NonPositiveAlpha,
+                         NonPositiveCoordinate)
 from chsa.pointcloud import (PointCloud, log_transform, read_csv, read_json,
                              read_pixel_table, scale_unit, uniform_scale,
                              write_csv)
@@ -89,6 +90,12 @@ def test_cloud_is_immutable():
     cloud = PointCloud([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 5.0
+
+
+def test_cloud_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteCoordinate, match="point 2"):
+            PointCloud(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, bad]]))
 
 
 def test_csv_roundtrip_with_labels(tmp_path):
