@@ -111,12 +111,3 @@ def pca_2d(cloud: PointCloud) -> np.ndarray:
             axes[row] = -axes[row]
     return centered @ axes.T
 
-
-def explained_variance_2d(cloud: PointCloud) -> np.ndarray:
-    """Fraction of total variance captured by each of the two axes."""
-    centered = cloud.points - cloud.points.mean(axis=0)
-    _, s, _ = np.linalg.svd(centered, full_matrices=False)
-    var = s ** 2
-    out = np.zeros(2)
-    out[: min(2, var.shape[0])] = var[:2] / var.sum()
-    return out

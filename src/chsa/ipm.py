@@ -13,20 +13,22 @@ in closed form leaves a K-vector system in dw = dw+ - dw-,
     S dw + 1 dy = rho,   1^T dw = r2,   S = diag(1/d) + 2 G^T G,
     1/d_j = s+_j s-_j / (s+_j + s-_j) + 2 gamma,   s = z/u,
 
-and Woodbury turns S^{-1} into one D x D SPD solve with I + 2 G diag(d)
-G^T, O(K D^2) per step and exact for every D and K.  One step of
-iterative refinement against S restores the digits Woodbury cancels on
-weights with large d.
+and Woodbury turns S^{-1} into solves with the D x D SPD capacitance
+I + 2 G diag(d) G^T, O(K D^2) per step and exact for every D and K.  The
+capacitance is factored once per step (a batched left-looking Cholesky,
+_cholesky) and the factor serves three column substitutions (_cho_solve):
+S^{-1} rho and S^{-1} 1, then one step of iterative refinement against S
+that restores the digits Woodbury cancels on weights with large d.
 
 A batch of problems advances together in (B, 2K) arrays; each problem
 stops on its own tests and leaves the working set.  All arithmetic is
-per problem (elementwise, row sums, einsum, batched matmul and LAPACK
-solve), so iterates do not depend on the batch, nor on the BLAS thread
+per problem (elementwise, row sums, einsum and batched matmul; no LAPACK
+call), so iterates do not depend on the batch, nor on the BLAS thread
 count: OpenBLAS threads a gemm with m n k > 262144, which rounds
 differently, so the D x D capacitance is summed in order over K-blocks of
 max(1, 65536 // D^2) columns, one unthreaded gemm each for D <= 512.  The
-one- or two-column products G dv and G^T f were checked to keep their
-bits for any thread count.
+one- and two-row products with G were checked to keep their bits for any
+thread count.
 
 With ``polish=True`` a converged run is refined by an active-set
 crossover (see _polish) that lands on an exact KKT point; useful when
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KktSingular
-from .qp import QpProblem, dense_q, gmul, gtmul, linear_term
+from .qp import QpProblem, dense_q, linear_term
 
 _REG = 1e-12  # static diagonal regularization floor
 
@@ -84,13 +86,58 @@ def _max_step(v: np.ndarray, dv: np.ndarray, frac: float) -> np.ndarray:
     return frac / np.maximum(np.max(-dv / v, axis=1), frac)
 
 
+def _gram(G, w):
+    """G^T G w for (B, D, K) G and (B, K) w, as two batched matmuls."""
+    return ((G @ w[:, :, None]).transpose(0, 2, 1) @ G)[:, 0]
+
+
 def _residuals(G, gamma, c, u, y, z):
-    """Dual residual Q u + c + a y - z, primal residual a^T u - 1, gap."""
+    """Dual residual Q u + c + a y - z, primal residual a^T u - 1, gap and
+    the complementarity products u z."""
     K = G.shape[2]
     w = u[:, :K] - u[:, K:]
-    mwy = 2.0 * (gtmul(G, gmul(G, w)) + gamma[:, None] * w) + y[:, None]
+    mwy = 2.0 * (_gram(G, w) + gamma[:, None] * w) + y[:, None]
     r_dual = c - z + np.concatenate([mwy, -mwy], axis=1)
-    return r_dual, np.sum(w, axis=1) - 1.0, np.sum(u * z, axis=1)
+    uz = u * z
+    return r_dual, np.sum(w, axis=1) - 1.0, np.sum(uz, axis=1), uz
+
+
+def _cholesky(cap, it):
+    """Lower Cholesky factors of the B SPD matrices cap (B, D, D), batch
+    last: L[:, :, b] L[:, :, b]^T = cap[b].
+
+    Left-looking, one einsum row update per column.  The batch axis is at
+    least two wide (an identity pads a batch of one): numpy then sums
+    every row update over k in order, whereas for a single problem it
+    would take its SIMD dot-product kernel and round differently, so a
+    problem's factor would depend on the batch it is in.
+    """
+    B, D, _ = cap.shape
+    L = np.empty((D, D, max(B, 2)))
+    L[:, :, :B] = cap.transpose(1, 2, 0)
+    L[:, :, B:] = np.eye(D)[:, :, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(D):
+            s = L[j:, j] - np.einsum("ikb,kb->ib", L[j:, :j], L[j, :j])
+            L[j, j] = np.sqrt(s[0])
+            L[j + 1:, j] = s[1:] / L[j, j]
+    piv = L[np.arange(D), np.arange(D)]
+    if not np.all(np.isfinite(piv) & (piv > 0.0)):
+        raise KktSingular(f"capacitance not positive definite at iteration {it}")
+    return L
+
+
+def _cho_solve(L, rhs):
+    """X with L L^T X_b = rhs_b for every problem b; L from _cholesky and
+    rhs of shape (B, m, D) (m right-hand sides per problem)."""
+    B, m, D = rhs.shape
+    x = np.zeros((D, m, L.shape[2]))
+    x[:, :, :B] = rhs.transpose(2, 1, 0)
+    for j in range(D):
+        x[j] = (x[j] - np.einsum("kb,kmb->mb", L[j, :j], x[:j])) / L[j, j]
+    for j in range(D - 1, -1, -1):
+        x[j] = (x[j] - np.einsum("kb,kmb->mb", L[j + 1:, j], x[j + 1:])) / L[j, j]
+    return x[:, :, :B].transpose(2, 1, 0)
 
 
 def _newton(G, gamma, u, z, r_dual, r_pri, r3, it):
@@ -103,25 +150,22 @@ def _newton(G, gamma, u, z, r_dual, r_pri, r3, it):
     rbar = r3 / u - r_dual
     vp, vm = rbar[:, :K], rbar[:, K:]
     rho = (sm * vp - sp * vm) / ssum
-    # capacitance I + 2 G diag(d) G^T over K-blocks (see the module docstring)
+    # capacitance I + G diag(2 d) G^T over K-blocks (see the module docstring)
     Gt, width = G.transpose(0, 2, 1), max(1, 65536 // G.shape[1] ** 2)
-    cap = np.eye(G.shape[1])
+    d2, cap = 2.0 * d, np.eye(G.shape[1])
     for s in range(0, K, width):
         blk = slice(s, s + width)
-        cap = cap + 2.0 * ((G[:, :, blk] * d[:, None, blk]) @ Gt[:, blk])
+        cap = cap + (G[:, :, blk] * d2[:, None, blk]) @ Gt[:, blk]
+    L = _cholesky(cap, it)
+    d, d2 = d[:, None, :], d2[:, None, :]
 
     def s_inv(v):
-        """S^{-1} v for S = diag(dinv) + 2 G^T G and v of shape (B, K, m)."""
-        dv = d[:, :, None] * v
-        try:
-            f = np.linalg.solve(cap, G @ dv)
-        except np.linalg.LinAlgError as exc:
-            raise KktSingular(
-                f"reduced system singular at iteration {it}") from exc
-        return dv - 2.0 * d[:, :, None] * (Gt @ f)
+        """S^{-1} v for S = diag(dinv) + 2 G^T G and v of shape (B, m, K)."""
+        dv = d * v
+        return dv - d2 * (_cho_solve(L, dv @ Gt) @ G)
 
-    x = s_inv(np.stack([rho, np.ones_like(rho)], axis=2))
-    xr, x1 = x[:, :, 0], x[:, :, 1]
+    x = s_inv(np.stack([rho, np.ones_like(rho)], axis=1))
+    xr, x1 = x[:, 0], x[:, 1]
     den = np.sum(x1, axis=1)              # 1^T S^{-1} 1
     if not np.all(np.isfinite(den) & (den > 0)):
         raise KktSingular(f"degenerate Schur complement at iteration {it}")
@@ -129,15 +173,16 @@ def _newton(G, gamma, u, z, r_dual, r_pri, r3, it):
     dw = xr - x1 * dy[:, None]
     # one step of iterative refinement against S applied exactly: the
     # Woodbury solve alone cancels digits on weights whose d is large
-    res = rho - dinv * dw - 2.0 * gtmul(G, gmul(G, dw)) - dy[:, None]
-    cw = s_inv(res[:, :, None])[:, :, 0]
+    res = rho - dinv * dw - 2.0 * _gram(G, dw) - dy[:, None]
+    cw = s_inv(res[:, None])[:, 0]
     cy = (np.sum(cw, axis=1) + r_pri + np.sum(dw, axis=1)) / den
     dw, dy = dw + cw - x1 * cy[:, None], dy + cy
     sig = vp + vm
     du = np.concatenate([(sig + sm * dw) / ssum, (sig - sp * dw) / ssum],
                         axis=1)
     dz = (r3 - z * du) / u
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dz))):
+    # an inf or NaN anywhere makes the total non-finite
+    if not np.isfinite(np.sum(du) + np.sum(dz)):
         raise KktSingular(f"non-finite KKT step at iteration {it}")
     return du, dy, dz
 
@@ -222,7 +267,7 @@ def solve_batch(x: np.ndarray, G: np.ndarray, gamma, lam,
     rows, u, y, z = np.arange(nb), start, np.zeros(nb), start.copy()
     dual_tol = config.tol_feas * (1.0 + cinf)
     for it in range(config.max_iters + 1):
-        r_dual, r_pri, gap = _residuals(G, gamma, c, u, y, z)
+        r_dual, r_pri, gap, uz = _residuals(G, gamma, c, u, y, z)
         ok = ((np.abs(r_pri) <= 2.0 * config.tol_feas)
               & (np.max(np.abs(r_dual), axis=1) <= dual_tol[rows])
               & (gap <= config.tol_gap * n))
@@ -232,19 +277,20 @@ def solve_batch(x: np.ndarray, G: np.ndarray, gamma, lam,
                 for i in np.flatnonzero(ok):
                     u[i], y[i], z[i] = _polish(G[i], gamma[i], c[i],
                                                u[i], y[i], z[i])
-                r_dual, r_pri, gap = _residuals(G, gamma, c, u, y, z)
+                r_dual, r_pri, gap, uz = _residuals(G, gamma, c, u, y, z)
             done, s = rows[stop], norm[rows[stop]]
             out.u[done], out.y[done] = u[stop], y[stop] * s
             out.z[done] = z[stop] * s[:, None]
             out.iterations[done], out.converged[done] = it, ok[stop]
             out.final_gap[done] = gap[stop] * s
             keep = ~stop
-            rows, G, gamma, c, u, y, z, r_dual, r_pri, gap = (
-                v[keep] for v in (rows, G, gamma, c, u, y, z, r_dual, r_pri, gap))
+            rows, G, gamma, c, u, y, z, r_dual, r_pri, gap, uz = (
+                v[keep] for v in (rows, G, gamma, c, u, y, z, r_dual, r_pri,
+                                  gap, uz))
             if rows.size == 0:
                 break
 
-        r3 = config.centering_sigma * (gap / n)[:, None] - u * z
+        r3 = config.centering_sigma * (gap / n)[:, None] - uz
         du, dy, dz = _newton(G, gamma, u, z, r_dual, r_pri, r3, it + 1)
         alpha_p = _max_step(u, du, config.step_fraction)
         alpha_d = _max_step(z, dz, config.step_fraction)

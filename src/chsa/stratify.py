@@ -76,9 +76,10 @@ def _solve_chunk(args) -> list:
     l2_norm = np.linalg.norm(W, axis=1)
     sum_dev = np.abs(np.sum(W, axis=1) - 1.0)
     objective = split_objective(x, G, gamma, lam, sol.u)
+    negative = W.min(axis=1) < -eps_neg
     return [WeightRecord(
         index=int(owners[b]), neighbor_indices=nbr[b], weights=W[b],
-        has_negative=bool(np.min(W[b]) < -eps_neg),
+        has_negative=bool(negative[b]),
         l2_norm=float(l2_norm[b]), residual=float(residual[b]),
         sum_dev=float(sum_dev[b]), iterations=int(sol.iterations[b]),
         converged=bool(sol.converged[b]), objective=float(objective[b]))
@@ -182,9 +183,15 @@ def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
 # ---------------------------------------------------------------------------
 
 def _json_value(v) -> str:
-    """One scalar as json.dumps writes it (finite floats by float.__repr__)."""
-    if type(v) is float and math.isfinite(v):
+    """One scalar as json.dumps writes it (finite floats by float.__repr__,
+    bools and ints directly; the rest through json.dumps)."""
+    kind = type(v)
+    if kind is float and math.isfinite(v):
         return float.__repr__(v)
+    if kind is bool:
+        return "true" if v else "false"
+    if kind is int:
+        return int.__repr__(v)
     return json.dumps(v)
 
 

@@ -37,14 +37,14 @@ def active_set_optimum(problem):
     return best_val, best_u
 
 
-def dense_newton_step(Q, u, z, r1, r2, r3):
-    """Newton step of the split QP from the full (2n+1) KKT system
+def dense_kkt(Q, u, z):
+    """The full (2n+1) KKT matrix of the split QP's Newton system
 
         [ Q   a  -I ] [du]   [r1]
         [ a^T 0   0 ] [dy] = [r2]      a = (1, ..., 1, -1, ..., -1),
         [ Z   0   U ] [dz]   [r3]
 
-    solved densely; the reference for the solver's rank-D step.
+    the reference for the solver's rank-D step.
     """
     n = u.shape[0]
     a = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
@@ -55,7 +55,13 @@ def dense_newton_step(Q, u, z, r1, r2, r3):
     kkt[n, :n] = a
     kkt[n + 1:, :n] = np.diag(z)
     kkt[n + 1:, n + 1:] = np.diag(u)
-    step = np.linalg.solve(kkt, np.concatenate([r1, [r2], r3]))
+    return kkt
+
+
+def dense_newton_step(Q, u, z, r1, r2, r3):
+    """Newton step of the split QP from the dense KKT system (dense_kkt)."""
+    n = u.shape[0]
+    step = np.linalg.solve(dense_kkt(Q, u, z), np.concatenate([r1, [r2], r3]))
     return step[:n], float(step[n]), step[n + 1:]
 
 

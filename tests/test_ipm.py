@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (active_set_optimum, dense_newton_step, random_chsa_instance)
+from helpers import (active_set_optimum, dense_kkt, dense_newton_step,
+                     random_chsa_instance)
 
 from chsa import ipm
+from chsa.errors import KktSingular
 from chsa.ipm import SolverConfig, solve, solve_batch
 from chsa.qp import ChsaParams, assemble_raw, dense_q, recover_weights
 
@@ -64,6 +66,23 @@ def test_matches_active_set_enumeration():
                              - recover_weights(ref_u))) < 1e-5
 
 
+def _recorded_steps(monkeypatch, prob):
+    """Solve prob, recording (Q, u, z, r1, r2, r3, step) at every iterate."""
+    steps = []
+    newton = ipm._newton
+
+    def recording(G, gamma, u, z, r_dual, r_pri, r3, it):
+        out = newton(G, gamma, u, z, r_dual, r_pri, r3, it)
+        steps.append((dense_q(G[0], gamma[0]) + ipm._REG * np.eye(2 * prob.K),
+                      u[0], z[0], -r_dual[0], -r_pri[0], r3[0], out))
+        return out
+
+    monkeypatch.setattr(ipm, "_newton", recording)
+    sol = solve(prob)
+    assert sol.converged and len(steps) == sol.iterations
+    return steps
+
+
 def test_backends_agree(monkeypatch):
     """The rank-D Newton step matches a dense (4K+1) KKT solve at every
     iterate of a K = 200, D = 3 problem.  The solver works on the
@@ -74,25 +93,75 @@ def test_backends_agree(monkeypatch):
     x = np.array([0.02, 0.5, 0.97])
     order = np.argsort(np.sum((cloud - x) ** 2, axis=1))[:200]
     prob = assemble_raw(x, cloud[order].T, ChsaParams(gamma=1e-5, lam=0.025))
-
-    steps = []
-    newton = ipm._newton
-
-    def recording(G, gamma, u, z, r_dual, r_pri, r3, it):
-        out = newton(G, gamma, u, z, r_dual, r_pri, r3, it)
-        steps.append((dense_q(G[0], gamma[0]), u[0], z[0], -r_dual[0],
-                      -r_pri[0], r3[0], out))
-        return out
-
-    monkeypatch.setattr(ipm, "_newton", recording)
-    sol = solve(prob)
-    assert sol.converged and len(steps) == sol.iterations >= 10
+    steps = _recorded_steps(monkeypatch, prob)
+    assert len(steps) >= 10
     for Q, u, z, r1, r2, r3, (du, dy, dz) in steps:
-        Q = Q + ipm._REG * np.eye(2 * prob.K)
         ref_u, ref_y, ref_z = dense_newton_step(Q, u, z, r1, r2, r3)
         assert np.max(np.abs(du[0] - ref_u)) <= 1e-10 * np.max(np.abs(ref_u))
         assert abs(dy[0] - ref_y) <= 1e-10 * max(abs(ref_y), np.max(np.abs(ref_u)))
         assert np.max(np.abs(dz[0] - ref_z)) <= 1e-10 * np.max(np.abs(ref_z))
+
+
+def test_newton_step_solves_dense_kkt_at_d20(monkeypatch):
+    """At D = 20, K = 50 (the simplex workload's regime, where the
+    capacitance factor does the most work) the rank-D step solves the
+    dense (4K+1) KKT system to rounding at every iterate.  The last steps
+    have condition numbers near 1e10, so the check is on the residual:
+    the forward difference to a dense LU solve reaches 1e-9 relative,
+    from the LU solve as much as from the rank-D one."""
+    rng = np.random.default_rng(43)
+    cloud = rng.dirichlet(np.ones(3), 400) @ rng.random((3, 20))
+    for b, lam in ((7, 1e-5), (8, 1e-3)):
+        order = np.argsort(np.sum((cloud - cloud[b]) ** 2, axis=1))[1:51]
+        prob = assemble_raw(cloud[b], cloud[order].T, ChsaParams(1e-6, lam))
+        steps = _recorded_steps(monkeypatch, prob)
+        assert len(steps) >= 6
+        for Q, u, z, r1, r2, r3, (du, dy, dz) in steps:
+            kkt = dense_kkt(Q, u, z)
+            rhs = np.concatenate([r1, [r2], r3])
+            step = np.concatenate([du[0], dy, dz[0]])
+            scale = (np.max(np.sum(np.abs(kkt), axis=1)) * np.max(np.abs(step))
+                     + np.max(np.abs(rhs)))
+            assert np.max(np.abs(kkt @ step - rhs)) <= 1e-15 * scale
+
+
+def test_cholesky_solve_matches_linalg():
+    """The batched factor and its substitutions solve random SPD systems
+    as np.linalg.solve does, for one and two right-hand sides, and a
+    problem's factor and solution are bitwise the same alone as in a
+    batch."""
+    rng = np.random.default_rng(41)
+    for D in (1, 3, 20, 45):
+        A = rng.standard_normal((9, D, D + 2))
+        cap = np.eye(D) + A @ A.transpose(0, 2, 1) * 10.0 ** rng.uniform(
+            -3, 3, (9, 1, 1))
+        L = ipm._cholesky(cap, 0)
+        for m in (1, 2):
+            rhs = rng.standard_normal((9, m, D))
+            x = ipm._cho_solve(L, rhs)
+            ref = np.linalg.solve(cap, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+            err = np.max(np.abs(x - ref), axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(1, 2)))
+            for b in (0, 4):
+                alone = ipm._cholesky(cap[b:b + 1], 0)
+                assert np.array_equal(alone[:, :, 0], L[:, :, b])
+                assert np.array_equal(ipm._cho_solve(alone, rhs[b:b + 1]),
+                                      x[b:b + 1])
+
+
+@pytest.mark.parametrize("where", ["G", "lam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises_kkt_singular(where, bad):
+    """A NaN or infinity in one problem's G or lambda ends the batch with
+    KktSingular, not a LinAlgError or a silent NaN."""
+    rng = np.random.default_rng(42)
+    x, G, lam = rng.random((4, 3)), rng.random((4, 3, 6)), np.full(4, 1e-3)
+    if where == "G":
+        G[1, 0, 2] = bad
+    else:
+        lam[1] = bad
+    with np.errstate(all="ignore"), pytest.raises(KktSingular):
+        solve_batch(x, G, 1e-5, lam)
 
 
 def test_gap_decreases_fast():
