@@ -9,14 +9,12 @@ first module that loads it.
 import importlib
 
 _EXPORTS = {
-    "analysis": ("cube_boundary_distance", "hull_2d", "lp_vertex_oracle",
-                 "pca_2d"),
+    "analysis": ("hull_2d", "lp_vertex_oracle", "pca_2d"),
     "datagen": ("GenSpec", "SimplexMixtureSpec", "gen", "gen_simplex_mixture"),
-    "ipm": ("SolverConfig", "SolverSolution", "solve", "solve_batch"),
-    "neighbors": ("NeighborSet", "knn_all"),
-    "pointcloud": ("PointCloud", "ScalingRecord", "log_transform",
-                   "scale_unit", "uniform_scale"),
-    "qp": ("ChsaParams", "QpProblem", "assemble", "recover_weights"),
+    "ipm": ("SolverConfig", "SolverSolution", "solve_batch"),
+    "neighbors": ("knn_all",),
+    "pointcloud": ("PointCloud", "log_transform", "scale_unit"),
+    "qp": ("ChsaParams",),
     "stratify": ("StratificationReport", "WeightRecord", "negativity_sweep",
                  "rank_by_norm", "run_chsa"),
 }

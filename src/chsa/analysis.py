@@ -2,8 +2,8 @@
 
 These stay independent of the stratification path so they can serve as
 ground truth in tests: an exact planar hull, a simplex-method LP vertex
-oracle for any dimension, the cube boundary distance, and a 2-D PCA
-projection for plotting high-dimensional runs.
+oracle for any dimension, and a 2-D PCA projection for plotting
+high-dimensional runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfCube, WrongDimension
+from .errors import WrongDimension
 from .pointcloud import PointCloud
 
 
@@ -78,14 +78,6 @@ def lp_vertex_oracle(cloud: PointCloud, i: int, tol: float = 1e-9) -> bool:
         tab[r] /= col[r]
         tab -= np.outer(col, tab[r]) * (np.arange(rows) != r)[:, None]
         basis[r] = entering[0]
-
-
-def cube_boundary_distance(point: np.ndarray) -> float:
-    """Distance from a point of the unit cube to the cube's boundary."""
-    point = np.asarray(point, dtype=float)
-    if np.any(point < 0) or np.any(point > 1):
-        raise OutOfCube(f"point {point} outside the unit cube")
-    return float(np.min(np.minimum(point, 1.0 - point)))
 
 
 def pca_2d(cloud: PointCloud) -> np.ndarray:

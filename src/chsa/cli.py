@@ -12,9 +12,9 @@ import os
 import sys
 
 # One BLAS/OpenMP thread per process unless the caller sets the variables:
-# no chsa kernel is large enough to gain from a BLAS thread pool, and
-# `--threads` worker processes inherit the setting.  This must run before
-# the first import that loads numpy.
+# no chsa kernel is large enough to gain from a BLAS thread pool, and the
+# `--threads` worker threads would otherwise compete with it for the
+# cores.  This must run before the first import that loads numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -38,7 +38,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-feas", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker process count")
+                        help="worker thread count")
     parser.add_argument("--scale", choices=["unit", "none"], default="unit",
                         help="rescale input into [0,1] per dimension")
     parser.add_argument("--global-scale", action="store_true",
@@ -117,7 +117,7 @@ def _preprocess(cloud, args):
             pts = (cloud.points - lo) / (rng if rng > 0 else 1.0)
             cloud = cloud.with_points(pts)
         else:
-            cloud, _ = pointcloud.scale_unit(cloud)
+            cloud = pointcloud.scale_unit(cloud)
     return cloud
 
 
@@ -178,10 +178,10 @@ def cmd_stratify(args) -> int:
     lams = _sweep_lambdas(args.sweep_lambda) if args.sweep_lambda else None
     cloud, k, params, solver, run_args = _prepare(args)
     if lams is not None:
-        results = stratify.negativity_sweep(
+        reports = stratify.negativity_sweep(
             cloud, k, [ChsaParams(gamma=params.gamma, lam=lam) for lam in lams],
             solver, **run_args)
-        outputs = [(f"_lambda{lam:g}", res[3]) for lam, res in zip(lams, results)]
+        outputs = [(f"_lambda{lam:g}", rep) for lam, rep in zip(lams, reports)]
     else:
         report = stratify.run_chsa(cloud, k, params, solver, **run_args)
         outputs = [("", report)]
@@ -203,9 +203,10 @@ def cmd_stratify(args) -> int:
         return 0
     with open(os.path.join(outdir, "sweep_counts.csv"), "w") as f:
         f.write("lambda,flagged_count\n")
-        f.writelines(f"{lam:g},{res[1]}\n" for lam, res in zip(lams, results))
-    for lam, res in zip(lams, results):
-        print(f"lambda={lam:g}: {res[1]} flagged")
+        f.writelines(f"{lam:g},{len(rep.flagged_indices)}\n"
+                     for lam, rep in zip(lams, reports))
+    for lam, rep in zip(lams, reports):
+        print(f"lambda={lam:g}: {len(rep.flagged_indices)} flagged")
     return 0
 
 

@@ -13,16 +13,8 @@ class NonFiniteCoordinate(ChsaError):
     """A point has a NaN or infinite coordinate."""
 
 
-class NonPositiveAlpha(ChsaError):
-    """Uniform scaling factor must be strictly positive."""
-
-
 class KTooLarge(ChsaError):
     """Requested neighbor count exceeds p - 1."""
-
-
-class DimensionMismatch(ChsaError):
-    """Point / neighbor-matrix dimensions disagree."""
 
 
 class KktSingular(ChsaError):
@@ -31,10 +23,6 @@ class KktSingular(ChsaError):
 
 class WrongDimension(ChsaError):
     """Operation requires data of a specific ambient dimension."""
-
-
-class OutOfCube(ChsaError):
-    """Coordinate outside the unit cube."""
 
 
 class UnknownKind(ChsaError):

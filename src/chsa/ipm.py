@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KktSingular
-from .qp import QpProblem, dense_q, linear_term
+from .qp import dense_q, linear_term
 
 _REG = 1e-12  # static diagonal regularization floor
 
@@ -55,12 +55,9 @@ class SolverConfig:
     max_iters: int = 100
     step_fraction: float = 0.99
     centering_sigma: float = 0.1
-    start_scale: float = 1.0      # multiplier on the default interior start
     polish: bool = False          # active-set refinement after convergence
 
     def __post_init__(self):
-        if self.start_scale <= 0:
-            raise ValueError("start_scale must be positive")
         if not 0 < self.step_fraction < 1:
             raise ValueError("step_fraction must lie in (0, 1)")
         if not all(0 < v < np.inf for v in (self.tol_gap, self.tol_feas)):
@@ -71,14 +68,14 @@ class SolverConfig:
 
 @dataclass
 class SolverSolution:
-    """One problem's result; from `solve_batch`, one row per problem."""
+    """The result of a `solve_batch` call: one row per problem."""
 
-    u: np.ndarray
-    y: float
-    z: np.ndarray
-    iterations: int
-    converged: bool
-    final_gap: float
+    u: np.ndarray           # (B, 2K)
+    y: np.ndarray           # (B,)
+    z: np.ndarray           # (B, 2K)
+    iterations: np.ndarray  # (B,) int
+    converged: np.ndarray   # (B,) bool
+    final_gap: np.ndarray   # (B,)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray, frac: float) -> np.ndarray:
@@ -257,8 +254,7 @@ def solve_batch(x: np.ndarray, G: np.ndarray, gamma, lam,
     G, gamma = G / root[:, None, None], gamma / norm
     c = linear_term(x / root[:, None], G, lam / norm)
     cinf = np.max(np.abs(c), axis=1)
-    start = np.repeat(np.maximum(1.0, cinf)[:, None] / n * config.start_scale,
-                      n, axis=1)
+    start = np.repeat(np.maximum(1.0, cinf)[:, None] / n, n, axis=1)
 
     out = SolverSolution(u=np.empty((nb, n)), y=np.empty(nb),
                          z=np.empty((nb, n)), iterations=np.zeros(nb, int),
@@ -299,10 +295,3 @@ def solve_batch(x: np.ndarray, G: np.ndarray, gamma, lam,
         z = z + alpha_d[:, None] * dz
     return out
 
-
-def solve(problem: QpProblem,
-          config: SolverConfig = SolverConfig()) -> SolverSolution:
-    """Solve one QP as a batch of one; non-convergence is flagged, not raised."""
-    sol = solve_batch(problem.x[None], problem.G[None], problem.gamma,
-                      problem.lam, config)
-    return SolverSolution(**{name: value[0] for name, value in vars(sol).items()})

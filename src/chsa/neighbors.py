@@ -1,12 +1,11 @@
 """Exact K-nearest neighbors under the Euclidean metric.
 
 Brute-force O(D p^2) pairwise distances; ties broken toward the smaller
-point index so output is fully deterministic.
+point index so output is fully deterministic.  `knn_all` returns the
+neighbor table as (p, K) index and distance arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,23 +13,12 @@ from .errors import KTooLarge
 from .pointcloud import PointCloud
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """K nearest neighbors of point `owner`, nearest first."""
+def knn_all(cloud: PointCloud, k: int) -> tuple:
+    """Exact K nearest neighbors for every point, nearest first.
 
-    owner: int
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.intp))
-        object.__setattr__(self, "distances", np.asarray(self.distances, dtype=np.float64))
-
-
-def knn_all(cloud: PointCloud, k: int) -> list:
-    """Exact K nearest neighbors for every point.
-
-    Distances are compared on squared values; stored distances are rooted.
+    Returns (indices, distances), two (p, K) arrays whose row i holds the
+    neighbors of point i.  Distances are compared on squared values;
+    returned distances are rooted.
     """
     p = cloud.size
     if not 1 <= k <= p - 1:
@@ -41,11 +29,9 @@ def knn_all(cloud: PointCloud, k: int) -> list:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     np.clip(d2, 0.0, None, out=d2)
     np.fill_diagonal(d2, np.inf)
-    out = []
+    indices = np.empty((p, k), dtype=np.intp)
     idx_all = np.arange(p)
     for i in range(p):
         # lexsort: primary key squared distance, secondary key index
-        order = np.lexsort((idx_all, d2[i]))[:k]
-        out.append(NeighborSet(owner=i, indices=order,
-                               distances=np.sqrt(d2[i, order])))
-    return out
+        indices[i] = np.lexsort((idx_all, d2[i]))[:k]
+    return indices, np.sqrt(np.take_along_axis(d2, indices, axis=1))

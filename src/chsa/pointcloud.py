@@ -7,14 +7,12 @@ per-point string labels.  All transforms return new clouds.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (NonFiniteCoordinate, NonPositiveAlpha,
-                     NonPositiveCoordinate)
+from .errors import NonFiniteCoordinate, NonPositiveCoordinate
 
 
 @dataclass(frozen=True)
@@ -60,41 +58,13 @@ class PointCloud:
         return [i for i, lab in enumerate(self.labels) if lab == label]
 
 
-@dataclass(frozen=True)
-class ScalingRecord:
-    """Affine map applied by scale_unit: x -> (x - offset) * factor per dim.
-
-    `alpha` records any additional uniform scaling; 1.0 when unused.
-    """
-
-    offset: np.ndarray
-    factor: np.ndarray
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.factor) <= 0):
-            raise ValueError("scaling factors must be strictly positive")
-
-    def invert(self, cloud: PointCloud) -> PointCloud:
-        """Map a scaled cloud back to original coordinates."""
-        pts = cloud.points / (self.factor * self.alpha) + self.offset
-        return cloud.with_points(pts)
-
-
-def scale_unit(cloud: PointCloud) -> tuple:
-    """Affinely map each dimension to [0, 1]; zero-range dimensions map to 0.
-
-    Returns (scaled cloud, ScalingRecord inverting the map).
-    """
+def scale_unit(cloud: PointCloud) -> PointCloud:
+    """Affinely map each dimension to [0, 1]; zero-range dimensions map to 0."""
     pts = cloud.points
     lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    rng = hi - lo
-    # zero-range dimensions get factor 1 so the inverse map stays well defined
-    factor = np.where(rng > 0, 1.0 / np.where(rng > 0, rng, 1.0), 1.0)
-    scaled = (pts - lo) * factor
-    scaled[:, rng == 0] = 0.0
-    return cloud.with_points(scaled), ScalingRecord(offset=lo, factor=factor)
+    rng = pts.max(axis=0) - lo
+    factor = 1.0 / np.where(rng > 0, rng, 1.0)
+    return cloud.with_points((pts - lo) * factor)
 
 
 def log_transform(cloud: PointCloud) -> PointCloud:
@@ -102,13 +72,6 @@ def log_transform(cloud: PointCloud) -> PointCloud:
     if np.any(cloud.points <= 0):
         raise NonPositiveCoordinate("log transform requires strictly positive data")
     return cloud.with_points(np.log(cloud.points))
-
-
-def uniform_scale(cloud: PointCloud, alpha: float) -> PointCloud:
-    """Multiply every coordinate by alpha > 0."""
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    return cloud.with_points(cloud.points * alpha)
 
 
 def is_unit_scaled(cloud: PointCloud, tol: float = 1e-9) -> bool:
@@ -160,25 +123,6 @@ def _looks_like_header(row: Sequence[str]) -> bool:
         # header iff the first cell is non-numeric (a string in the last
         # cell alone is a point label, see _parse_rows)
         return True
-
-
-def read_json(path: str) -> PointCloud:
-    """JSON schema mirrors the CSV: {"points": [[...], ...], "labels": [...]}."""
-    with open(path) as f:
-        obj = json.load(f)
-    labels = obj.get("labels")
-    return PointCloud(np.array(obj["points"], dtype=float),
-                      tuple(labels) if labels else None)
-
-
-def read_pixel_table(path: str) -> PointCloud:
-    """CSV with columns (row, col, c1..cD); the leading two columns are dropped."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if rows and _looks_like_header(rows[0]):
-        rows = rows[1:]
-    stripped = [row[2:] for row in rows if len(row) > 2]
-    return _parse_rows(stripped)
 
 
 def write_csv(cloud: PointCloud, path: str) -> None:

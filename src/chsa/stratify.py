@@ -3,9 +3,10 @@
 Per point: the split-variable QP over its K nearest neighbors, the
 weight vector and its negativity / l2 norm / residual diagnostics.  The
 (point, parameter) problems of a run are solved in chunks (see CHUNK) by
-one batched interior-point call each, optionally in worker processes.
-Results do not depend on the chunking, so reports are byte-identical
-for any worker count.
+one batched interior-point call each, optionally on worker threads (the
+chunk kernel is large-array numpy, which releases the GIL).  Results do
+not depend on the chunking, so reports are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import NotUnitScaled
 from .ipm import SolverConfig, solve_batch
 from .neighbors import knn_all
 from .pointcloud import PointCloud, is_unit_scaled
-from .qp import ChsaParams, gmul, split_objective
+from .qp import ChsaParams, gmul
 
 EPS_NEG_DEFAULT = 1e-7  # interior-point weights are never exactly zero
 
@@ -45,7 +46,6 @@ class WeightRecord:
     iterations: int
     converged: bool
     rank: Optional[int] = None
-    objective: float = 0.0
 
 
 @dataclass
@@ -64,9 +64,9 @@ class StratificationReport:
         return [r.index for r in self.records if r.has_negative]
 
 
-def _solve_chunk(args) -> list:
+def _solve_chunk(points, owners, nbr, gamma, lam, solver_config,
+                 eps_neg) -> list:
     """Solve one chunk of (point, gamma, lambda) problems; one record each."""
-    points, owners, nbr, gamma, lam, solver_config, eps_neg = args
     x = points[owners]
     G = np.ascontiguousarray(points[nbr].transpose(0, 2, 1))  # (B, D, K)
     sol = solve_batch(x, G, gamma, lam, solver_config)
@@ -75,14 +75,13 @@ def _solve_chunk(args) -> list:
     residual = np.linalg.norm(x - gmul(G, W), axis=1)
     l2_norm = np.linalg.norm(W, axis=1)
     sum_dev = np.abs(np.sum(W, axis=1) - 1.0)
-    objective = split_objective(x, G, gamma, lam, sol.u)
     negative = W.min(axis=1) < -eps_neg
     return [WeightRecord(
         index=int(owners[b]), neighbor_indices=nbr[b], weights=W[b],
         has_negative=bool(negative[b]),
         l2_norm=float(l2_norm[b]), residual=float(residual[b]),
         sum_dev=float(sum_dev[b]), iterations=int(sol.iterations[b]),
-        converged=bool(sol.converged[b]), objective=float(objective[b]))
+        converged=bool(sol.converged[b]))
         for b in range(len(owners))]
 
 
@@ -91,7 +90,6 @@ def run_chsa(cloud: PointCloud, k: int, params: ChsaParams,
              eps_neg: float = EPS_NEG_DEFAULT,
              workers: int = 1,
              allow_unscaled: bool = False,
-             neighbor_sets: Optional[list] = None,
              seed: Optional[int] = None) -> StratificationReport:
     """Solve one QP per point and assemble the stratification report.
 
@@ -99,7 +97,7 @@ def run_chsa(cloud: PointCloud, k: int, params: ChsaParams,
     to proceed (with a warning) on raw data.
     """
     return negativity_sweep(cloud, k, [params], solver, eps_neg, workers,
-                            allow_unscaled, neighbor_sets, seed)[0][3]
+                            allow_unscaled, seed)[0]
 
 
 def rank_by_norm(report: StratificationReport) -> list:
@@ -125,12 +123,11 @@ def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
                      solver: SolverConfig = SolverConfig(),
                      eps_neg: float = EPS_NEG_DEFAULT, workers: int = 1,
                      allow_unscaled: bool = False,
-                     neighbor_sets: Optional[list] = None,
                      seed: Optional[int] = None) -> list:
     """One CHSA run per (gamma, lambda) pair: neighbor sets are computed
     once and all (point, pair) problems are solved in one chunked pass.
 
-    Returns [(params, flagged_count, flagged_indices, report), ...].
+    Returns one StratificationReport per pair, in the order of param_list.
     """
     if not param_list:
         raise ValueError("parameter list must be nonempty")
@@ -142,9 +139,7 @@ def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
         warnings.warn("running on data outside [0, 1]; parameter advice in "
                       "the docs assumes unit-scaled data")
 
-    if neighbor_sets is None:
-        neighbor_sets = knn_all(cloud, k)
-    nbr_table = np.stack([ns.indices for ns in neighbor_sets])
+    nbr_table, _ = knn_all(cloud, k)
     p = cloud.size
     owners = np.tile(np.arange(p), len(param_list))
     gammas = np.repeat([float(pr.gamma) for pr in param_list], p)
@@ -152,19 +147,19 @@ def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
 
     size = max(1, min(CHUNK, CHUNK * CHUNK_K // k,
                       -(-owners.size // max(workers, 1))))
-    tasks = [(cloud.points, owners[s:s + size], nbr_table[owners[s:s + size]],
-              gammas[s:s + size], lams[s:s + size], solver, eps_neg)
-             for s in range(0, owners.size, size)]
+
+    def solve(s):
+        return _solve_chunk(cloud.points, owners[s], nbr_table[owners[s]],
+                            gammas[s], lams[s], solver, eps_neg)
+
+    chunks = [slice(s, s + size) for s in range(0, owners.size, size)]
     if workers <= 1:
-        parts = [_solve_chunk(task) for task in tasks]
+        parts = [solve(s) for s in chunks]
     else:
-        # imported here so that a one-process run does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = list(pool.map(_solve_chunk, tasks))
+        # imported here so that a one-thread run does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(solve, chunks))
     records = [rec for part in parts for rec in part]
 
     out = []
@@ -173,8 +168,7 @@ def negativity_sweep(cloud: PointCloud, k: int, param_list: list,
                                       eps_neg=eps_neg, seed=seed,
                                       records=records[j * p:(j + 1) * p])
         rank_by_norm(report)
-        out.append((params, len(report.flagged_indices),
-                    report.flagged_indices, report))
+        out.append(report)
     return out
 
 

@@ -1,6 +1,61 @@
 """Shared test oracles, independent of the interior-point solve path."""
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class SplitQp:
+    """One point's QP in split variables u = (w+, w-), as dense arrays
+    built from the definition (no `chsa` code):
+
+        minimize 1/2 u^T Q u + c^T u + ||x||^2   s.t.  A u = b,  u >= 0,
+
+    Q = [[M, -M], [-M, M]], M = 2 (G^T G + gamma I),
+    c = (lambda - 2 G^T x, lambda + 2 G^T x), A = (1, ..., 1, -1, ..., -1).
+    """
+
+    x: np.ndarray      # (D,)
+    G: np.ndarray      # (D, K), one neighbor per column
+    gamma: float
+    lam: float
+    b = 1.0
+
+    @property
+    def K(self):
+        return self.G.shape[1]
+
+    @property
+    def Q(self):
+        M = 2.0 * (self.G.T @ self.G + self.gamma * np.eye(self.K))
+        return np.block([[M, -M], [-M, M]])
+
+    @property
+    def c(self):
+        gx = 2.0 * (self.G.T @ self.x)
+        return np.concatenate([self.lam - gx, self.lam + gx])
+
+    @property
+    def A(self):
+        return np.concatenate([np.ones(self.K), -np.ones(self.K)])[None, :]
+
+    def objective(self, u):
+        return float(0.5 * u @ self.Q @ u + self.c @ u + self.x @ self.x)
+
+
+def solve_one(problem, config=None):
+    """`solve_batch` on one SplitQp; the solution's fields are row 0."""
+    from chsa.ipm import SolverConfig, SolverSolution, solve_batch
+    sol = solve_batch(problem.x[None], problem.G[None], problem.gamma,
+                      problem.lam, config or SolverConfig())
+    return SolverSolution(**{name: value[0] for name, value in vars(sol).items()})
+
+
+def weights(u):
+    """w = w+ - w- for split vectors u = (w+, w-) (last axis)."""
+    K = u.shape[-1] // 2
+    return u[..., :K] - u[..., K:]
 
 
 def active_set_optimum(problem):
@@ -73,14 +128,14 @@ def direct_objective(w, x, G, gamma, lam):
 
 
 def random_chsa_instance(rng, k_max=6, d_max=5):
-    from chsa.qp import ChsaParams, assemble_raw
+    from chsa.qp import ChsaParams
     K = int(rng.integers(1, k_max + 1))
     D = int(rng.integers(1, d_max + 1))
     G = rng.random((D, K))
     x = rng.random(D)
     params = ChsaParams(gamma=10 ** rng.uniform(-6, -2),
                         lam=10 ** rng.uniform(-5, -1))
-    return x, G, params, assemble_raw(x, G, params)
+    return x, G, params, SplitQp(x, G, params.gamma, params.lam)
 
 
 def report_dict(report):

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from helpers import active_set_optimum, random_chsa_instance
+from helpers import (SplitQp, active_set_optimum, random_chsa_instance,
+                     solve_one, weights)
 
-from chsa.analysis import cube_boundary_distance, hull_2d
+from chsa.analysis import hull_2d
 from chsa.cli import main
 from chsa.datagen import GenSpec, default_simplex_spec, gen, gen_simplex_mixture
-from chsa.ipm import SolverConfig, solve
+from chsa.ipm import SolverConfig
 from chsa.pointcloud import PointCloud
-from chsa.qp import ChsaParams, assemble_raw, recover_weights
+from chsa.qp import ChsaParams, dense_q, linear_term
 from chsa.stratify import negativity_sweep, run_chsa
 
 TIGHT = SolverConfig(tol_gap=1e-13, tol_feas=1e-11, max_iters=300)
@@ -46,7 +47,8 @@ def cube_sweep():
 
 
 def test_criterion_1_objective_equivalence():
-    """Assembled quadratic form == direct objective, 1e-10 relative."""
+    """The program's quadratic form (qp.dense_q, qp.linear_term) ==
+    direct objective, 1e-10 relative."""
     rng = np.random.default_rng(1001)
     for _ in range(200):
         K = int(rng.integers(1, 51))
@@ -54,7 +56,7 @@ def test_criterion_1_objective_equivalence():
         G = rng.standard_normal((D, K))
         x = rng.standard_normal(D)
         params = ChsaParams(gamma=rng.random(), lam=rng.random())
-        prob = assemble_raw(x, G, params)
+        Q, c = dense_q(G, params.gamma), linear_term(x, G, params.lam)
         wp = rng.random(K) + 0.05
         wm = rng.random(K) * 0.5
         wp *= (1.0 + wm.sum()) / wp.sum()
@@ -62,7 +64,8 @@ def test_criterion_1_objective_equivalence():
         w = wp - wm
         direct = (params.gamma * w @ w + params.lam * np.sum(u)
                   + np.sum((x - G @ w) ** 2))
-        assert prob.objective(u) == pytest.approx(direct, rel=1e-10)
+        quadratic_form = 0.5 * u @ Q @ u + c @ u + x @ x
+        assert quadratic_form == pytest.approx(direct, rel=1e-10)
     _passed("1 objective-equivalence")
 
 
@@ -72,12 +75,11 @@ def test_criterion_2_solver_vs_active_set_oracle():
     rng = np.random.default_rng(1002)
     for _ in range(50):
         _, _, _, prob = random_chsa_instance(rng, k_max=6)
-        sol = solve(prob, TIGHT)
+        sol = solve_one(prob, TIGHT)
         assert sol.converged
         ref_val, ref_u = active_set_optimum(prob)
         assert prob.objective(sol.u) == pytest.approx(ref_val, abs=1e-6)
-        assert np.max(np.abs(recover_weights(sol.u)
-                             - recover_weights(ref_u))) < 1e-5
+        assert np.max(np.abs(weights(sol.u) - weights(ref_u))) < 1e-5
     _passed("2 solver-vs-oracle")
 
 
@@ -122,23 +124,23 @@ def _distance_to_hull_edge(cloud, i):
 
 def test_criterion_4_cube_experiment(cube_sweep):
     cloud, results = cube_sweep
-    counts = [r[1] for r in results]
+    counts = [len(r.flagged_indices) for r in results]
     # counts non-increasing in lambda
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     verts = set(cloud.indices_with_label("inserted-vertex"))
     # final lambda flags exactly the 8 inserted vertices
-    assert set(results[-1][2]) == verts
+    assert set(results[-1].flagged_indices) == verts
     # intermediate counts within +-50% of the reference 40 / 18 / 12
     for count, ref in zip(counts[:3], (40, 18, 12)):
         assert ref * 0.5 <= count <= ref * 1.5, (count, ref)
     # norm readouts come from the weakly-penalized run, where the norm
     # profile is the stratification signal (the heavy penalty exists to
     # sharpen the negativity flags, not the norms)
-    report = results[0][3]
+    report = results[0]
     # the 8 vertices carry the largest norms
     assert set(report.ranking[:8]) == verts
     # norm correlates with (negative) boundary distance near the boundary
-    bd = np.array([cube_boundary_distance(pt) for pt in cloud.points])
+    bd = np.min(np.minimum(cloud.points, 1.0 - cloud.points), axis=1)
     norms = np.array([rec.l2_norm for rec in report.records])
     near = np.argsort(bd)[: cloud.size // 10]
     rho = spearmanr(norms[near], -bd[near]).statistic
@@ -151,8 +153,8 @@ def test_criterion_5_simplex_mixture():
     cloud, abundances = gen_simplex_mixture(spec)
     results = negativity_sweep(
         cloud, 50, [ChsaParams(gamma=1e-6, lam=lam) for lam in (1e-3, 1e-7)])
-    strict_flagged = set(results[0][2])
-    loose_flagged = set(results[1][2])
+    strict_flagged = set(results[0].flagged_indices)
+    loose_flagged = set(results[1].flagged_indices)
     assert strict_flagged == {0, 1, 2}           # exactly the 3 vertices
     assert loose_flagged > strict_flagged        # strict superset band
     assert len(loose_flagged) > len(strict_flagged)
@@ -186,13 +188,11 @@ def test_criterion_7_scaling_invariance():
         G = rng.random((D, K))
         x = rng.random(D)
         gamma, lam = 1e-5, 1e-3
-        base = assemble_raw(x, G, ChsaParams(gamma, lam))
-        w0 = recover_weights(solve(base, TIGHT_POLISH).u)
+        w0 = weights(solve_one(SplitQp(x, G, gamma, lam), TIGHT_POLISH).u)
         for alpha in (0.1, 10.0):
-            scaled = assemble_raw(
-                alpha * x, alpha * G,
-                ChsaParams(alpha ** 2 * gamma, alpha ** 2 * lam))
-            w1 = recover_weights(solve(scaled, TIGHT_POLISH).u)
+            scaled = SplitQp(alpha * x, alpha * G, alpha ** 2 * gamma,
+                             alpha ** 2 * lam)
+            w1 = weights(solve_one(scaled, TIGHT_POLISH).u)
             assert np.max(np.abs(w0 - w1)) < 1e-6
     _passed("7 scaling-invariance")
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from chsa.analysis import (cube_boundary_distance, hull_2d, lp_vertex_oracle,
-                           pca_2d)
-from chsa.errors import OutOfCube, WrongDimension
+from chsa.analysis import hull_2d, lp_vertex_oracle, pca_2d
+from chsa.errors import WrongDimension
 from chsa.pointcloud import PointCloud
 
 
@@ -43,20 +42,6 @@ def test_lp_oracle_cube_vertex_and_centroid():
 
     tri = np.array([[0, 0], [1, 0], [0, 1], [1 / 3, 1 / 3]], dtype=float)
     assert not lp_vertex_oracle(PointCloud(tri), 3)  # centroid of a triangle
-
-
-def test_cube_boundary_distance():
-    assert cube_boundary_distance([0.5, 0.5, 0.5]) == 0.5
-    assert cube_boundary_distance([0.0, 0.3, 0.7]) == 0.0
-    with pytest.raises(OutOfCube):
-        cube_boundary_distance([1.2, 0.5, 0.5])
-
-
-def test_cube_boundary_distance_matches_six_faces():
-    rng = np.random.default_rng(53)
-    for pt in rng.random((50, 3)):
-        faces = [pt[0], 1 - pt[0], pt[1], 1 - pt[1], pt[2], 1 - pt[2]]
-        assert cube_boundary_distance(pt) == pytest.approx(min(faces))
 
 
 def test_pca_preserves_planar_embedding():

@@ -235,6 +235,13 @@ def test_import_chsa_loads_no_numpy():
     assert out.split() == ["False", "True"]
 
 
+def test_every_export_resolves():
+    """Each name in chsa.__all__ resolves through the lazy export table."""
+    import chsa
+    for name in chsa.__all__:
+        assert getattr(chsa, name).__name__ == name
+
+
 def test_cli_defaults_to_one_blas_thread():
     code = ("import os, chsa.cli\n"
             f"print(*[os.environ[v] for v in {BLAS_VARS!r}])\n")

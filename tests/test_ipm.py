@@ -6,20 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (active_set_optimum, dense_kkt, dense_newton_step,
-                     random_chsa_instance)
+from helpers import (SplitQp, active_set_optimum, dense_kkt,
+                     dense_newton_step, random_chsa_instance, solve_one,
+                     weights)
 
 from chsa import ipm
 from chsa.errors import KktSingular
-from chsa.ipm import SolverConfig, solve, solve_batch
-from chsa.qp import ChsaParams, assemble_raw, dense_q, recover_weights
+from chsa.ipm import SolverConfig, solve_batch
 
 
 def test_symmetric_projection_onto_simplex():
     """No neighbor term (G = 0): gamma ||w||^2 alone spreads the weight
     evenly, and lambda > 0 keeps the split complementary."""
-    prob = assemble_raw(np.zeros(1), np.zeros((1, 4)), ChsaParams(1.0, 1.0))
-    sol = solve(prob)
+    sol = solve_one(SplitQp(np.zeros(1), np.zeros((1, 4)), 1.0, 1.0))
     assert sol.converged
     assert np.allclose(sol.u, [0.25] * 4 + [0.0] * 4, atol=1e-7)
 
@@ -30,9 +29,8 @@ def test_linear_cost_picks_smallest():
     residual, so c = (lambda - 2 G^T x, lambda + 2 G^T x) makes the
     nearest neighbor take all the weight, with strictly positive
     multipliers everywhere else."""
-    prob = assemble_raw(np.array([-1.0]), np.array([[0.0, 1.0, 2.0]]),
-                        ChsaParams(gamma=1e-9, lam=4.0))
-    sol = solve(prob)
+    sol = solve_one(SplitQp(np.array([-1.0]), np.array([[0.0, 1.0, 2.0]]),
+                            gamma=1e-9, lam=4.0))
     assert sol.converged
     assert np.allclose(sol.u, [1, 0, 0, 0, 0, 0], atol=1e-6)
 
@@ -42,7 +40,7 @@ def test_kkt_residuals_at_convergence():
     cfg = SolverConfig()
     for _ in range(10):
         x, G, params, prob = random_chsa_instance(rng)
-        sol = solve(prob, cfg)
+        sol = solve_one(prob, cfg)
         assert sol.converged
         n = prob.c.shape[0]
         assert np.min(sol.u) >= -cfg.tol_feas
@@ -58,12 +56,11 @@ def test_matches_active_set_enumeration():
     rng = np.random.default_rng(32)
     for _ in range(50):
         x, G, params, prob = random_chsa_instance(rng, k_max=6)
-        sol = solve(prob, tight)
+        sol = solve_one(prob, tight)
         assert sol.converged
         ref_val, ref_u = active_set_optimum(prob)
         assert prob.objective(sol.u) == pytest.approx(ref_val, abs=1e-6)
-        assert np.max(np.abs(recover_weights(sol.u)
-                             - recover_weights(ref_u))) < 1e-5
+        assert np.max(np.abs(weights(sol.u) - weights(ref_u))) < 1e-5
 
 
 def _recorded_steps(monkeypatch, prob):
@@ -73,12 +70,13 @@ def _recorded_steps(monkeypatch, prob):
 
     def recording(G, gamma, u, z, r_dual, r_pri, r3, it):
         out = newton(G, gamma, u, z, r_dual, r_pri, r3, it)
-        steps.append((dense_q(G[0], gamma[0]) + ipm._REG * np.eye(2 * prob.K),
+        Q = SplitQp(None, G[0], gamma[0], None).Q
+        steps.append((Q + ipm._REG * np.eye(2 * prob.K),
                       u[0], z[0], -r_dual[0], -r_pri[0], r3[0], out))
         return out
 
     monkeypatch.setattr(ipm, "_newton", recording)
-    sol = solve(prob)
+    sol = solve_one(prob)
     assert sol.converged and len(steps) == sol.iterations
     return steps
 
@@ -92,7 +90,7 @@ def test_backends_agree(monkeypatch):
     cloud = rng.random((2000, 3))
     x = np.array([0.02, 0.5, 0.97])
     order = np.argsort(np.sum((cloud - x) ** 2, axis=1))[:200]
-    prob = assemble_raw(x, cloud[order].T, ChsaParams(gamma=1e-5, lam=0.025))
+    prob = SplitQp(x, cloud[order].T, gamma=1e-5, lam=0.025)
     steps = _recorded_steps(monkeypatch, prob)
     assert len(steps) >= 10
     for Q, u, z, r1, r2, r3, (du, dy, dz) in steps:
@@ -113,7 +111,7 @@ def test_newton_step_solves_dense_kkt_at_d20(monkeypatch):
     cloud = rng.dirichlet(np.ones(3), 400) @ rng.random((3, 20))
     for b, lam in ((7, 1e-5), (8, 1e-3)):
         order = np.argsort(np.sum((cloud - cloud[b]) ** 2, axis=1))[1:51]
-        prob = assemble_raw(cloud[b], cloud[order].T, ChsaParams(1e-6, lam))
+        prob = SplitQp(cloud[b], cloud[order].T, 1e-6, lam)
         steps = _recorded_steps(monkeypatch, prob)
         assert len(steps) >= 6
         for Q, u, z, r1, r2, r3, (du, dy, dz) in steps:
@@ -176,11 +174,11 @@ def test_gap_decreases_fast():
     nbr = np.argsort(d2, axis=1, kind="stable")[:, :200]
     G = cloud[nbr].transpose(0, 2, 1)
     b = int(np.argmax(solve_batch(cloud, G, 1e-5, 0.025).iterations))
-    prob = assemble_raw(cloud[b], G[b], ChsaParams(gamma=1e-5, lam=0.025))
-    sol = solve(prob)
+    prob = SplitQp(cloud[b], G[b], gamma=1e-5, lam=0.025)
+    sol = solve_one(prob)
     assert sol.converged
     # the gap after m steps is the final gap of a run capped at m steps
-    gaps = [solve(prob, SolverConfig(max_iters=m)).final_gap
+    gaps = [solve_one(prob, SolverConfig(max_iters=m)).final_gap
             for m in range(1, sol.iterations + 1)]
     assert gaps[-1] == sol.final_gap
     assert len(gaps) > 20  # at least one 20-iteration window
@@ -191,23 +189,10 @@ def test_gap_decreases_fast():
 def test_deterministic_bitwise():
     rng = np.random.default_rng(35)
     x, G, params, prob = random_chsa_instance(rng, k_max=10)
-    s1 = solve(prob)
-    s2 = solve(prob)
+    s1 = solve_one(prob)
+    s2 = solve_one(prob)
     assert np.array_equal(s1.u, s2.u)
     assert s1.iterations == s2.iterations
-
-
-def test_start_independence():
-    """Two distinct interior starting points reach the same w (gamma > 0
-    gives a unique minimizer in w)."""
-    rng = np.random.default_rng(36)
-    G = rng.random((3, 8))
-    x = rng.random(3)
-    prob = assemble_raw(x, G, ChsaParams(gamma=1e-4, lam=1e-3))
-    tight = dict(tol_gap=1e-13, tol_feas=1e-11, max_iters=300)
-    w1 = recover_weights(solve(prob, SolverConfig(start_scale=1.0, **tight)).u)
-    w2 = recover_weights(solve(prob, SolverConfig(start_scale=7.0, **tight)).u)
-    assert np.max(np.abs(w1 - w2)) < 1e-6
 
 
 def test_polish_reaches_exact_complementarity():
@@ -219,14 +204,13 @@ def test_polish_reaches_exact_complementarity():
     rng = np.random.default_rng(38)
     for _ in range(20):
         x, G, params, prob = random_chsa_instance(rng, k_max=6)
-        sol = solve(prob, cfg)
+        sol = solve_one(prob, cfg)
         assert sol.converged
         active = sol.u < sol.z
         assert np.all(sol.u[active] == 0.0)
         assert float(np.max(sol.u * sol.z)) < 1e-12
         ref_val, ref_u = active_set_optimum(prob)
-        assert np.max(np.abs(recover_weights(sol.u)
-                             - recover_weights(ref_u))) < 1e-8
+        assert np.max(np.abs(weights(sol.u) - weights(ref_u))) < 1e-8
         assert prob.objective(sol.u) == pytest.approx(ref_val, abs=1e-10)
 
 
@@ -237,7 +221,7 @@ def test_polish_keeps_solver_guarantees():
     rng = np.random.default_rng(39)
     for _ in range(10):
         x, G, params, prob = random_chsa_instance(rng, k_max=12)
-        sol = solve(prob, cfg)
+        sol = solve_one(prob, cfg)
         assert sol.converged
         assert np.min(sol.u) >= 0.0
         assert abs(prob.A[0] @ sol.u - prob.b) <= cfg.tol_feas * 2
@@ -247,7 +231,7 @@ def test_polish_keeps_solver_guarantees():
 def test_nonconvergence_is_flagged_not_raised():
     rng = np.random.default_rng(37)
     x, G, params, prob = random_chsa_instance(rng, k_max=10)
-    sol = solve(prob, SolverConfig(max_iters=2))
+    sol = solve_one(prob, SolverConfig(max_iters=2))
     assert not sol.converged
     assert sol.iterations == 2
 
@@ -282,7 +266,7 @@ def test_batch_composition_is_bitwise_invisible():
     assert np.array_equal(np.concatenate([c.iterations for c in chunked]),
                           whole.iterations)
     for b in range(37):
-        alone = solve(assemble_raw(x[b], G[b], ChsaParams(1e-5, lam[b])))
+        alone = solve_one(SplitQp(x[b], G[b], 1e-5, lam[b]))
         assert np.array_equal(alone.u, whole.u[b])
         assert alone.iterations == whole.iterations[b]
 

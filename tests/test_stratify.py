@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import report_dict
+from helpers import SplitQp, report_dict, solve_one
 
 from chsa.analysis import hull_2d
 from chsa.datagen import GenSpec, gen
@@ -56,7 +56,8 @@ def test_record_invariants():
 
 
 def test_objective_decomposition():
-    """residual^2 + lambda*||w||_1 + gamma*||w||_2^2 == solver objective."""
+    """residual^2 + lambda*||w||_1 + gamma*||w||_2^2 from a record ==
+    objective of the same point's QP solved alone."""
     rng = np.random.default_rng(42)
     cloud = PointCloud(rng.random((25, 2)))
     tight = SolverConfig(tol_gap=1e-13, tol_feas=1e-11, max_iters=300)
@@ -65,7 +66,11 @@ def test_objective_decomposition():
         w = rec.weights
         decomposed = (rec.residual ** 2 + PARAMS.lam * np.sum(np.abs(w))
                       + PARAMS.gamma * float(w @ w))
-        assert decomposed == pytest.approx(rec.objective, abs=1e-8)
+        prob = SplitQp(cloud.points[rec.index],
+                       cloud.points[rec.neighbor_indices].T,
+                       PARAMS.gamma, PARAMS.lam)
+        objective = prob.objective(solve_one(prob, tight).u)
+        assert decomposed == pytest.approx(objective, abs=1e-8)
 
 
 def test_interior_point_nonnegative_weights():
@@ -110,10 +115,9 @@ def test_unscaled_data_raises_without_override():
 def test_sweep_single_matches_run():
     rng = np.random.default_rng(45)
     cloud = PointCloud(rng.random((20, 2)))
-    [(params, count, flagged, rep)] = negativity_sweep(cloud, 10, [PARAMS])
+    [swept] = negativity_sweep(cloud, 10, [PARAMS])
     direct = run_chsa(cloud, 10, PARAMS)
-    assert flagged == direct.flagged_indices
-    assert count == len(flagged)
+    assert report_to_json(swept) == report_to_json(direct)
 
 
 def test_sweep_convexity_emphasis_flags_fewer():
@@ -123,8 +127,8 @@ def test_sweep_convexity_emphasis_flags_fewer():
     convexity = ChsaParams(gamma=1e-6, lam=1e-3)
     uniformity = ChsaParams(gamma=1e-3, lam=1e-5)
     results = negativity_sweep(cloud, 20, [convexity, uniformity])
-    thin = set(results[0][2])
-    thick = set(results[1][2])
+    thin = set(results[0].flagged_indices)
+    thick = set(results[1].flagged_indices)
     assert thin < thick
 
 
@@ -134,15 +138,20 @@ def test_parallel_matches_serial():
     serial = run_chsa(cloud, 10, PARAMS, workers=1)
     parallel = run_chsa(cloud, 10, PARAMS, workers=3)
     assert report_to_json(serial) == report_to_json(parallel)
+    params = [PARAMS, ChsaParams(gamma=1e-5, lam=0.025)]
+    serial = negativity_sweep(cloud, 10, params, workers=1)
+    parallel = negativity_sweep(cloud, 10, params, workers=2)
+    for a, b in zip(serial, parallel, strict=True):
+        assert report_to_json(a) == report_to_json(b)
 
 
 def test_chunk_size_does_not_change_report(monkeypatch):
     rng = np.random.default_rng(49)
     cloud = PointCloud(rng.random((40, 3)))
     params = [PARAMS, ChsaParams(gamma=1e-5, lam=0.025)]
-    default = [r[3] for r in negativity_sweep(cloud, 12, params)]
+    default = negativity_sweep(cloud, 12, params)
     monkeypatch.setattr(stratify, "CHUNK", 7)
-    small = [r[3] for r in negativity_sweep(cloud, 12, params)]
+    small = negativity_sweep(cloud, 12, params)
     for a, b in zip(default, small):
         assert report_to_json(a) == report_to_json(b)
 
@@ -169,7 +178,7 @@ def test_json_writer_matches_json_dumps(tmp_path):
     simplex = gen(GenSpec(kind="simplex-mixture", n_random=40, seed=50))
     sweep = negativity_sweep(simplex, 12, [PARAMS, ChsaParams(1e-5, 0.025)],
                              seed=50)
-    reports = [run_chsa(cube, 20, PARAMS, seed=50), sweep[0][3], sweep[1][3],
+    reports = [run_chsa(cube, 20, PARAMS, seed=50), sweep[0], sweep[1],
                run_chsa(cube, 8, PARAMS, SolverConfig(max_iters=2))]
     assert reports[3].seed is None
     assert not any(r.converged for r in reports[3].records)
